@@ -29,7 +29,6 @@ from .rules import (
     Rule,
     RuleSet,
     dedup_rules,
-    filter_rules,
     generate_rules,
     metrics,
     sort_rules,

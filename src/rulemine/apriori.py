@@ -30,8 +30,8 @@ class MiningConfig:
             raise ConfigError(f"min_support must be in [0,1], got {self.min_support}")
         if not 0 <= self.min_confidence <= 1:
             raise ConfigError(f"min_confidence must be in [0,1], got {self.min_confidence}")
-        if self.min_lift < 0:
-            raise ConfigError(f"min_lift must be >= 0, got {self.min_lift}")
+        if not 0 <= self.min_lift < math.inf:
+            raise ConfigError(f"min_lift must be finite and >= 0, got {self.min_lift}")
         if self.max_len is not None and self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
 
@@ -53,18 +53,20 @@ class FrequentItemsets:
         return max((len(s) for s in self.counts), default=0)
 
 
-def required_count(min_support: float, n: int) -> int:
-    """Smallest integer count satisfying count/n >= min_support.
+def exact(threshold: float | Fraction) -> Fraction:
+    """A threshold as the exact decimal the caller wrote.
 
-    Computed as ceil(min_support * n), snapping products within 1e-9 of an
-    integer first so float fuzz (0.3 * 10 = 2.999...) cannot shift the
-    boundary.
+    Floats go through their shortest repr, so 0.1 is 1/10 and not its
+    nearest binary float; every threshold predicate compares against this.
     """
-    scaled = min_support * n
-    nearest = round(scaled)
-    if abs(scaled - nearest) <= 1e-9:
-        return nearest
-    return math.ceil(scaled)
+    if isinstance(threshold, float):
+        return Fraction(str(threshold))
+    return Fraction(threshold)
+
+
+def required_count(min_support: float, n: int) -> int:
+    """Smallest integer count satisfying count/n >= min_support, exactly."""
+    return math.ceil(exact(min_support) * n)
 
 
 def generate_candidates(frequent_prev: Iterable[Itemset]) -> set[Itemset]:

@@ -178,7 +178,7 @@ _CONFIG_TYPES = {
 def _load_config_file(path: str) -> dict:
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -204,7 +204,7 @@ def _load_config_file(path: str) -> dict:
 
 def _load_table(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise RuleMineError(f"cannot read input file {path}: {exc.strerror}") from None

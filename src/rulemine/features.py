@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .apriori import exact
 from .core import TransactionSet
 from .errors import ConfigError, UndefinedSupportError
 
@@ -38,9 +39,7 @@ def select_features(freq: FrequencyMap, threshold: float) -> list[int]:
     """
     if not 0 <= threshold <= 1:
         raise ConfigError(f"feature threshold must be in [0,1], got {threshold}")
-    # compare against the decimal the caller wrote, not its nearest binary
-    # float, so a frequency exactly equal to the threshold is excluded
-    cut = Fraction(str(threshold)) if isinstance(threshold, float) else Fraction(threshold)
+    cut = exact(threshold)  # a frequency equal to the threshold is excluded
     picked = [i for i, (_, frac) in freq.entries.items() if frac > cut]
     picked.sort(key=lambda i: (-freq.entries[i][1], i))
     return picked

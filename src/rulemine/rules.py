@@ -1,4 +1,4 @@
-"""Association rules: metric computation, enumeration, filtering, ranking.
+"""Association rules: metric computation, enumeration, ranking.
 
 Metrics follow the usual definitions: confidence = support / antecedent
 support, lift = support / (antecedent support * consequent support),
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
-from .apriori import FrequentItemsets, MiningConfig
+from .apriori import FrequentItemsets, MiningConfig, exact
 from .core import Itemset
 from .errors import InconsistentSupportError, InternalError, UndefinedMetricError
 
@@ -68,40 +69,49 @@ def metrics(supp_xy: Number, supp_x: Number, supp_y: Number) -> MetricSet:
 
 
 def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
-    """Every partition X => Y of every frequent itemset, filtered and ranked.
+    """Every partition X => Y of every frequent itemset Z that passes the
+    thresholds, ranked as by sort_rules.
 
-    Filters: confidence >= min_confidence, lift strictly > min_lift, and
-    (when set) consequent == target_consequent. Multi-item consequents are
-    enumerated like any other partition.
+    Y ranges over the non-empty proper subsets of Z, or is only
+    target_consequent when one is set, and X = Z minus Y. The filters,
+    confidence >= min_confidence and lift strictly > min_lift, are
+    compared exactly on integer counts; metrics are built only for the
+    rules kept.
     """
     n = fi.n_transactions
-    rules: list[Rule] = []
-    for z, c_z in fi.counts.items():
-        if len(z) < 2:
-            continue
-        supp_z = Fraction(c_z, n)
-        for r in range(1, len(z)):
-            for ant in combinations(z, r):
-                cons = tuple(i for i in z if i not in ant)
-                try:
-                    c_a = fi.counts[ant]
-                    c_c = fi.counts[cons]
-                except KeyError as exc:
-                    raise InternalError(
-                        f"downward closure violated: missing support for {exc.args[0]}"
-                    ) from None
-                m = metrics(supp_z, Fraction(c_a, n), Fraction(c_c, n))
-                if m.confidence >= cfg.min_confidence and m.lift > cfg.min_lift:
-                    rules.append(Rule(ant, cons, m))
-    rs = RuleSet(rules, n)
-    if cfg.target_consequent is not None:
-        rs = filter_rules(rs, cfg.target_consequent)
-    return sort_rules(dedup_rules(rs))
-
-
-def filter_rules(rs: RuleSet, target: Itemset) -> RuleSet:
-    """Rules whose consequent equals the target itemset, order preserved."""
-    return RuleSet([r for r in rs.rules if r.consequent == tuple(target)], rs.n_transactions)
+    conf, lift = exact(cfg.min_confidence), exact(cfg.min_lift)
+    target = cfg.target_consequent
+    kept = []
+    for z, c_xy in fi.counts.items():
+        if target is None:
+            consequents = [y for r in range(1, len(z)) for y in combinations(z, r)]
+        else:
+            y = tuple(i for i in z if i in target)
+            consequents = [y] if y == tuple(target) and 0 < len(y) < len(z) else []
+        for y in consequents:
+            x = tuple(i for i in z if i not in y)
+            try:
+                c_x, c_y = fi.counts[x], fi.counts[y]
+            except KeyError as exc:
+                raise InternalError(
+                    f"downward closure violated: missing support for {exc.args[0]}"
+                ) from None
+            if c_x == 0 or c_y == 0:
+                raise UndefinedMetricError(f"metrics undefined for zero count: {x} => {y}")
+            if c_xy > min(c_x, c_y):
+                raise InconsistentSupportError(
+                    f"joint count {c_xy} exceeds a marginal ({c_x}, {c_y})"
+                )
+            if (c_xy * conf.denominator >= conf.numerator * c_x
+                    and c_xy * n * lift.denominator > lift.numerator * c_x * c_y):
+                # support descending, then confidence descending: for equal
+                # joint counts the smaller antecedent count has more confidence
+                kept.append((-c_xy, c_x, x, y, c_y))
+    kept.sort()
+    supp = cache(lambda c: Fraction(c, n))  # rules share one Fraction per count: less memory
+    return RuleSet(
+        [Rule(x, y, metrics(supp(-c), supp(c_x), supp(c_y))) for c, c_x, x, y, c_y in kept], n
+    )
 
 
 def dedup_rules(rs: RuleSet) -> RuleSet:

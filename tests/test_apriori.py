@@ -105,7 +105,7 @@ class TestRequiredCount:
     @pytest.mark.parametrize(
         "min_support,n,expected",
         [(0.5, 4, 2), (0.3, 10, 3), (0.15, 20, 3), (0.001, 2875, 3),
-         (0.0, 10, 0), (1.0, 7, 7), (0.26, 10, 3)],
+         (0.0, 10, 0), (1.0, 7, 7), (0.26, 10, 3), (0.1000000000001, 10, 2)],
     )
     def test_boundary_exactness(self, min_support, n, expected):
         assert required_count(min_support, n) == expected
@@ -119,6 +119,11 @@ class TestConfigValidation:
     def test_bad_confidence(self):
         with pytest.raises(ConfigError):
             MiningConfig(min_confidence=-0.1)
+
+    @pytest.mark.parametrize("min_lift", [-1.0, float("inf"), float("nan")])
+    def test_bad_lift(self, min_lift):
+        with pytest.raises(ConfigError):
+            MiningConfig(min_lift=min_lift)
 
     def test_bad_max_len(self):
         with pytest.raises(ConfigError):

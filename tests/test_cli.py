@@ -130,6 +130,17 @@ class TestMine:
         assert rules and all(r["n_transactions"] == 5 for r in rules)
         assert full  # freq run unaffected
 
+    def test_utf8_bom_input_mines_like_plain(self, capsys, cohort_csv, tmp_path):
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + cohort_csv.read_bytes())
+        reports = []
+        for path in (cohort_csv, bom_csv):
+            rc = main(["mine", "--input", str(path), "--derive-age", "--derive-outcome",
+                       "--no-select", "--min-lift", "0.0"])
+            assert rc == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and reports[0].count("\n") > 1
+
 
 class TestSelectAndConfig:
     def test_select_lists_frequent_symptoms(self, capsys, cohort_csv):
@@ -145,6 +156,13 @@ class TestSelectAndConfig:
         assert rc == 0
         rules = json.loads(capsys.readouterr().out)  # format taken from config
         assert rules  # min-support 0.9 would have produced nothing
+
+    def test_utf8_bom_config_file(self, capsys, cohort_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfmin-lift=0.0\nformat=json\n")
+        rc = main(["mine", "--input", str(cohort_csv), "--no-select", "--config", str(cfg)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)
 
     def test_bad_config_key(self, capsys, cohort_csv, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -67,6 +67,11 @@ class TestSelectFeatures:
         picked = select_features(_freq_map([0.15, 0.16]), 0.15)
         assert picked == [1]
 
+    def test_frequency_equal_to_threshold_excluded(self):
+        # 7/10 is exactly the decimal 0.7, while the float 0.7 is slightly below it
+        ts = TransactionSet.from_transactions([{0, 1}] * 7 + [{1}] + [set()] * 2, item_ids=[0, 1])
+        assert select_features(item_frequencies(ts), 0.7) == [1]
+
     def test_out_of_range_threshold(self):
         with pytest.raises(ConfigError):
             select_features(_freq_map(self.FRACS), 1.5)

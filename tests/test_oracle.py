@@ -4,7 +4,7 @@ import pytest
 
 from rulemine.apriori import MiningConfig, mine_frequent
 from rulemine.core import TransactionSet
-from rulemine.errors import CapacityError
+from rulemine.errors import CapacityError, UndefinedMetricError
 from rulemine.oracle import brute_frequent, brute_rules
 from rulemine.rules import generate_rules
 
@@ -46,6 +46,54 @@ class TestBruteRules:
         ts = TransactionSet.from_transactions([{0}, {1}, {0}, {1}])
         cfg = MiningConfig(min_support=0.5)
         assert brute_rules(ts, cfg).rules == []
+
+
+def _rows(groups, n_items=2):
+    """TransactionSet with each (itemset, multiplicity) group repeated."""
+    rows = [set(items) for items, k in groups for _ in range(k)]
+    return TransactionSet.from_transactions(rows, item_ids=range(n_items))
+
+
+def _both_paths(ts, cfg):
+    """Rule keys from the miner, after checking the oracle agrees."""
+    fast = generate_rules(mine_frequent(ts, cfg), cfg)
+    assert fast.rules == brute_rules(ts, cfg).rules
+    return {(r.antecedent, r.consequent) for r in fast}
+
+
+class TestThresholdBoundaries:
+    # each threshold is the exact decimal written, never its binary float
+
+    def test_confidence_exactly_at_threshold_kept(self):
+        ts = _rows([((0, 1), 1), ((0,), 9)])
+        cfg = MiningConfig(min_support=0.1, min_confidence=0.1)
+        assert mine_frequent(ts, cfg).counts == {(0,): 10, (1,): 1, (0, 1): 1}
+        assert _both_paths(ts, cfg) == {((0,), (1,)), ((1,), (0,))}
+
+    def test_lift_exactly_at_threshold_dropped(self):
+        ts = _rows([((0, 1), 17), ((0,), 3), ((1,), 33), ((), 47)])
+        assert mine_frequent(ts, MiningConfig(min_support=0.1)).counts == {
+            (0,): 20, (1,): 50, (0, 1): 17}
+        assert _both_paths(ts, MiningConfig(min_support=0.1, min_lift=1.7)) == set()
+        assert len(_both_paths(ts, MiningConfig(min_support=0.1, min_lift=1.69))) == 2
+
+    def test_support_exactly_at_threshold_kept(self):
+        ts = _rows([((0, 1), 3), ((0,), 1), ((), 6)])
+        cfg = MiningConfig(min_support=0.3)
+        assert mine_frequent(ts, cfg).counts == brute_frequent(ts, 0.3).counts
+        assert brute_frequent(ts, 0.3).counts[(0, 1)] == 3
+        assert _both_paths(ts, cfg) == {((0,), (1,)), ((1,), (0,))}
+        assert _both_paths(ts, MiningConfig(min_support=0.31)) == set()
+
+
+@pytest.mark.parametrize("target", [None, (0,), (1,)])
+def test_zero_support_with_absent_item_is_undefined(target):
+    ts = _rows([((0,), 2)])  # item 1 never occurs, yet is frequent at support 0
+    cfg = MiningConfig(min_support=0.0, target_consequent=target)
+    with pytest.raises(UndefinedMetricError):
+        generate_rules(mine_frequent(ts, cfg), cfg)
+    with pytest.raises(UndefinedMetricError):
+        brute_rules(ts, cfg)
 
 
 def test_randomized_agreement():

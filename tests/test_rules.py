@@ -1,6 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulemine.apriori import FrequentItemsets, MiningConfig, mine_frequent
 from rulemine.core import TransactionSet
@@ -14,11 +17,12 @@ from rulemine.rules import (
     Rule,
     RuleSet,
     dedup_rules,
-    filter_rules,
     generate_rules,
     metrics,
     sort_rules,
 )
+
+from conftest import transaction_sets
 
 
 def _rule(ant, cons, support=0.5, confidence=0.5):
@@ -103,14 +107,20 @@ class TestGenerateRules:
         assert [(r.antecedent, r.consequent) for r in rs] == [((0,), (1,))]
 
 
-class TestFilterRules:
-    def test_keeps_matching_consequent(self):
-        rules = [_rule((0,), (5,)), _rule((1,), (6,)), _rule((2,), (5,))]
-        out = filter_rules(RuleSet(rules), (5,))
-        assert [r.antecedent for r in out] == [(0,), (2,)]
-
-    def test_no_match(self):
-        assert len(filter_rules(RuleSet([_rule((0,), (1,))]), (9,))) == 0
+@settings(max_examples=60, deadline=None)
+@given(
+    transaction_sets(),
+    st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]),
+    st.sampled_from([0.0, 0.5, 0.75]),
+    st.sampled_from([0.0, 1.0, 1.2]),
+)
+def test_target_consequent_equals_filtered_untargeted(ts, min_support, min_confidence, min_lift):
+    cfg = MiningConfig(min_support=min_support, min_confidence=min_confidence, min_lift=min_lift)
+    fi = mine_frequent(ts, cfg)
+    untargeted = generate_rules(fi, cfg)
+    for target in fi.counts:
+        targeted = generate_rules(fi, replace(cfg, target_consequent=target))
+        assert targeted.rules == [r for r in untargeted if r.consequent == target]
 
 
 class TestDedupRules:
