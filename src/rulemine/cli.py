@@ -21,6 +21,7 @@ from .ingest import (
     CohortSelector,
     DerivationConfig,
     build_catalog,
+    cohort_mask,
     derive_items,
     drop_sparse_patients,
     filter_cohort,
@@ -196,6 +197,8 @@ def _load_config_file(path: str) -> dict:
                     raise RuleMineError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
         raise RuleMineError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise RuleMineError(f"cannot read config file {path}: not UTF-8 ({exc.reason})") from None
     return values
 
 
@@ -204,11 +207,12 @@ def _load_config_file(path: str) -> dict:
 
 def _load_table(path: str):
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return parse_patient_csv(fh)
     except OSError as exc:
         raise RuleMineError(f"cannot read input file {path}: {exc.strerror}") from None
-    return parse_patient_csv(text)
+    except UnicodeDecodeError as exc:
+        raise RuleMineError(f"cannot read input file {path}: not UTF-8 ({exc.reason})") from None
 
 
 def _derivation_config(args) -> DerivationConfig:
@@ -222,8 +226,11 @@ def _derivation_config(args) -> DerivationConfig:
 
 def _write_output(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise RuleMineError(f"cannot write output file {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -259,16 +266,13 @@ def _cmd_select(args) -> int:
 
 def _select_pipeline(table, ts, catalog, args):
     """Dual-threshold feature selection over the all/deceased cohorts."""
-    cfg = _derivation_config(args)
-    symptom_ids = [catalog.id_of(c) for c in table.symptom_columns]
-    freq_all = item_frequencies(project(ts, symptom_ids))
-    selected = select_features(freq_all, args.feature_threshold)
+    symptoms = project(ts, [catalog.id_of(c) for c in table.symptom_columns])
+    selected = select_features(item_frequencies(symptoms), args.feature_threshold)
     # deceased leg only when the table carries outcomes
-    if any(r.outcome is not None for r in table.rows):
-        deceased = filter_cohort(table, CohortSelector("deceased"))
-        if deceased.rows:
-            ts_dec = derive_items(deceased, cfg, catalog)
-            freq_dec = item_frequencies(project(ts_dec, symptom_ids))
+    if table.outcome.count(None) < len(table):
+        deceased = cohort_mask(table, CohortSelector("deceased"))
+        if deceased:
+            freq_dec = item_frequencies(symptoms, rows=deceased)
             selected = union_features(
                 selected, select_features(freq_dec, args.feature_threshold_deceased)
             )
@@ -478,21 +482,17 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
 
+    args = parser.parse_args(argv)
     # config file values become defaults; explicit flags keep precedence
-    if "--config" in argv:
+    if args.config:
         try:
-            cfg_path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config expects a path")
-        try:
-            values = _load_config_file(cfg_path)
+            values = _load_config_file(args.config)
         except RuleMineError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         for p in subparsers.values():
             p.set_defaults(**values)
-
-    args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except RuleMineError as exc:

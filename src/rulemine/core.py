@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidItemError, UndefinedSupportError
@@ -62,6 +63,39 @@ class ItemCatalog:
         return name in self._ids
 
 
+def bits_to_flags(bits: int, n: int) -> str:
+    """The n low bits of ``bits`` as a '0'/'1' string, row 0 first."""
+    return format(bits, f"0{n}b")[::-1] if n else ""  # format(0, "00b") is "0"
+
+
+def flags_to_bits(flags: str | bytes) -> int:
+    """Inverse of bits_to_flags: bit t is set when flags[t] is '1'."""
+    return int(flags[::-1], 2) if flags else 0
+
+
+_SELECT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def row_selector(keep: int, n: int) -> bytes:
+    """One byte per row, row n-1 first: 1 where ``keep`` has the row, else 0.
+
+    The selector ``compress`` takes to pick rows out of a ``format(bits,
+    f"0{n}b")`` string, which also lists row n-1 first.
+    """
+    return format(keep, f"0{n}b").encode().translate(_SELECT) if n else b""
+
+
+def row_indices(bits: int, n: int) -> Iterator[int]:
+    """The rows set in ``bits``, highest first."""
+    return compress(range(n - 1, -1, -1), row_selector(bits, n))
+
+
+def compact_bits(bits: int, n: int, selector: bytes) -> int:
+    """``bits`` restricted to the rows ``selector`` keeps, renumbered in order."""
+    kept = "".join(compress(format(bits, f"0{n}b"), selector))
+    return int(kept, 2) if kept else 0
+
+
 def canonical_itemset(items: Iterable[int]) -> Itemset:
     """Sort and deduplicate item ids into the canonical tuple form."""
     return tuple(sorted(set(items)))
@@ -104,13 +138,15 @@ class TransactionSet:
                 universe |= row
         else:
             universe = set(item_ids)
-        covers = {i: 0 for i in universe}
+        # one '0'/'1' byte per row and item, converted to an int once
+        flags = {i: bytearray(b"0") * len(rows) for i in universe}
         for t, row in enumerate(rows):
             for i in row:
-                if i not in covers:
-                    raise InvalidItemError(f"transaction {t} uses unknown item id {i}")
-                covers[i] |= 1 << t
-        return cls(len(rows), covers)
+                try:
+                    flags[i][t] = 49  # ord("1")
+                except KeyError:
+                    raise InvalidItemError(f"transaction {t} uses unknown item id {i}") from None
+        return cls(len(rows), {i: flags_to_bits(f) for i, f in flags.items()})
 
     @property
     def n_transactions(self) -> int:
@@ -133,20 +169,9 @@ class TransactionSet:
         """Horizontal view: one frozenset of item ids per transaction."""
         rows: list[set[int]] = [set() for _ in range(self._n)]
         for item_id, bits in self._covers.items():
-            while bits:
-                low = bits & -bits
-                rows[low.bit_length() - 1].add(item_id)
-                bits ^= low
+            for t in row_indices(bits, self._n):
+                rows[t].add(item_id)
         return [frozenset(r) for r in rows]
-
-
-def _bits_to_indices(bits: int) -> set[int]:
-    out = set()
-    while bits:
-        low = bits & -bits
-        out.add(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 def cover_bits_of(ts: TransactionSet, s: Itemset) -> int:
@@ -161,7 +186,7 @@ def cover_bits_of(ts: TransactionSet, s: Itemset) -> int:
 
 def cover_of(ts: TransactionSet, s: Itemset) -> set[int]:
     """Set of transaction indices containing every item of s."""
-    return _bits_to_indices(cover_bits_of(ts, s))
+    return set(row_indices(cover_bits_of(ts, s), ts.n_transactions))
 
 
 def support_of(ts: TransactionSet, s: Itemset) -> Fraction:

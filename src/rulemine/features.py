@@ -21,15 +21,21 @@ class FrequencyMap:
         return self.entries[item_id][1]
 
 
-def item_frequencies(ts: TransactionSet) -> FrequencyMap:
-    """Frequency of every item of ts, zero-frequency items included."""
-    if ts.n_transactions == 0:
+def item_frequencies(ts: TransactionSet, rows: int | None = None) -> FrequencyMap:
+    """Frequency of every item of ts, zero-frequency items included.
+
+    ``rows`` restricts the count to the transactions set in that bitset.
+    """
+    if rows is None:
+        rows = (1 << ts.n_transactions) - 1
+    n = rows.bit_count()
+    if n == 0:
         raise UndefinedSupportError("frequencies are undefined over an empty transaction set")
     entries = {}
     for i in ts.item_ids():
-        count = ts.cover_bits(i).bit_count()
-        entries[i] = (count, Fraction(count, ts.n_transactions))
-    return FrequencyMap(entries, ts.n_transactions)
+        count = (ts.cover_bits(i) & rows).bit_count()
+        entries[i] = (count, Fraction(count, n))
+    return FrequencyMap(entries, n)
 
 
 def select_features(freq: FrequencyMap, threshold: float) -> list[int]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .core import flags_to_bits
 from .errors import ConfigError
-from .ingest import AGE_BUCKETS, PatientRecord, PatientTable
+from .ingest import AGE_BUCKETS, PatientTable
 
 _BUCKET_RANGES = {"<20": (0, 19), "20-40": (20, 39), "40-60": (40, 59), ">60": (60, 100)}
 
@@ -88,7 +89,7 @@ def generate_cohort(spec: CohortSpec) -> PatientTable:
         planted[a] = (a, b, joint)
         planted[b] = (a, b, joint)
 
-    columns: dict[str, list[int]] = {}
+    columns: dict[str, str] = {}  # '0'/'1' flags per symptom, row 0 first
     done = set()
     for name in symptom_columns:
         if name in done:
@@ -102,21 +103,21 @@ def generate_cohort(spec: CohortSpec) -> PatientTable:
             for _ in range(n):
                 u = rng.random()
                 if u < joint:
-                    va, vb = 1, 1
+                    va, vb = "1", "1"
                 elif u < p_a:
-                    va, vb = 1, 0
+                    va, vb = "1", "0"
                 elif u < p_a + p_b - joint:
-                    va, vb = 0, 1
+                    va, vb = "0", "1"
                 else:
-                    va, vb = 0, 0
+                    va, vb = "0", "0"
                 col_a.append(va)
                 col_b.append(vb)
-            columns[a], columns[b] = col_a, col_b
+            columns[a], columns[b] = "".join(col_a), "".join(col_b)
             done.update((a, b))
         else:
             p = spec.marginals[name]
             rng = _stream(spec, f"symptom:{name}")
-            columns[name] = [1 if rng.random() < p else 0 for _ in range(n)]
+            columns[name] = "".join(["1" if rng.random() < p else "0" for _ in range(n)])
             done.add(name)
 
     age_rng = _stream(spec, "age")
@@ -135,14 +136,11 @@ def generate_cohort(spec: CohortSpec) -> PatientTable:
         "deceased" if out_rng.random() < spec.mortality else "recovered" for _ in range(n)
     ]
 
-    rows = [
-        PatientRecord(
-            age=ages[t],
-            sex=sexes[t],
-            outcome=outcomes[t],
-            lab_result=None,
-            symptoms={name: columns[name][t] for name in symptom_columns},
-        )
-        for t in range(n)
-    ]
-    return PatientTable(symptom_columns=symptom_columns, rows=rows)
+    return PatientTable(
+        symptom_columns,
+        covers=[flags_to_bits(columns[name]) for name in symptom_columns],
+        age=ages,
+        sex=sexes,
+        outcome=outcomes,
+        lab_result=[None] * n,
+    )

@@ -193,3 +193,58 @@ class TestVerifyCommand:
         rc = main(["verify", "--input", str(cohort_csv), "--min-support", "0.2"])
         assert rc == 0
         assert "OK" in capsys.readouterr().out
+
+
+class TestBadInputAndOutput:
+    """Input and output failures exit 1 with one error line, never a traceback."""
+
+    def _run(self, capsys, argv):
+        rc = main(argv)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    def test_input_not_utf8(self, capsys, cohort_csv, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(cohort_csv.read_bytes() + "30,M,recovered,1,0,0\n".encode() + b"\xe9\n")
+        rc, out, err = self._run(capsys, ["mine", "--input", str(path)])
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: cannot read input file {path}: not UTF-8")
+
+    def test_config_not_utf8(self, capsys, cohort_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"format=json\nmin-lift=\xff\n")
+        rc, out, err = self._run(capsys, ["mine", "--input", str(cohort_csv), "--config", str(cfg)])
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: cannot read config file {cfg}: not UTF-8")
+
+    def test_unwritable_output(self, capsys, cohort_csv, tmp_path):
+        target = tmp_path / "no-such-dir" / "report.csv"
+        rc, out, err = self._run(
+            capsys, ["mine", "--input", str(cohort_csv), "--output", str(target)]
+        )
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: cannot write output file {target}:")
+
+    def test_derive_error_names_the_csv_line(self, capsys, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text(
+            "age,sex,outcome,Fever\n30,M,recovered,1\n50,F,deceased,1\n,M,deceased,0\n"
+        )
+        for cohort in ("all", "deceased"):
+            rc, out, err = self._run(
+                capsys, ["mine", "--input", str(path), "--derive-age", "--cohort", cohort]
+            )
+            assert (rc, out) == (1, "")
+            assert err == "error: row 4: age derivation enabled but age missing\n"
+
+
+def test_config_flag_with_equals_sign(capsys, cohort_csv, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("min-lift=0.0\nformat=json\n")
+    reports = []
+    for flag in (["--config", str(cfg)], [f"--config={cfg}"]):
+        rc = main(["mine", "--input", str(cohort_csv), "--no-select", *flag])
+        assert rc == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])

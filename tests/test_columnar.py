@@ -1,0 +1,244 @@
+"""Columnar ingest against a row-wise reference.
+
+The ``rowwise_*`` functions restate, one patient at a time, what parsing,
+cohort filtering, item derivation and the sparse-patient drop mean. The
+package does the same work on whole columns (row bitsets and per-row
+lists); these properties require both to agree on every value and on
+every error message.
+"""
+
+import csv
+import io
+from unittest.mock import patch
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from rulemine import ingest
+from rulemine.core import TransactionSet, canonical_itemset
+from rulemine.errors import ParseError, RuleMineError, SchemaError
+from rulemine.ingest import (
+    CohortSelector,
+    DerivationConfig,
+    PatientRecord,
+    age_bucket,
+    build_catalog,
+    derive_items,
+    drop_sparse_patients,
+    filter_cohort,
+    parse_patient_csv,
+)
+
+RESERVED = ("id", "age", "sex", "outcome", "lab_result")
+CHOICES = {"sex": ("M", "F"), "outcome": ("recovered", "deceased"), "lab_result": ("pos", "neg")}
+
+# ---------------------------------------------------------------- reference
+
+
+def rowwise_parse(text):
+    """(symptom columns, [(CSV line, PatientRecord)]), or ParseError."""
+    header, *body = csv.reader(io.StringIO(text))
+    symptoms = [c for c in header if c not in RESERVED]
+    rows = []
+    for lineno, cells in enumerate(body, start=2):
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise ParseError(f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
+        cell = dict(zip(header, cells))
+        age = cell.get("age") or None
+        if age is not None:
+            try:
+                age = int(age)
+            except ValueError:
+                raise ParseError(f"row {lineno}, column age: not an integer: {age!r}") from None
+            if age < 0:
+                raise ParseError(f"row {lineno}, column age: negative age {age}")
+        values = {}
+        for name, (a, b) in CHOICES.items():
+            values[name] = cell.get(name) or None
+            if values[name] not in (None, a, b):
+                raise ParseError(
+                    f"row {lineno}, column {name}: expected {a} or {b}, got {values[name]!r}"
+                )
+        for name in symptoms:
+            if cell[name] not in ("0", "1"):
+                raise ParseError(f"row {lineno}, column {name}: expected 0 or 1, got {cell[name]!r}")
+        flags = {name: int(cell[name]) for name in symptoms}
+        rows.append((lineno, PatientRecord(age, *values.values(), flags)))
+    return symptoms, rows
+
+
+def rowwise_filter(rows, sel):
+    def keep(r):
+        if sel.kind == "all":
+            return True
+        if sel.kind in ("deceased", "recovered"):
+            if r.outcome is None:
+                raise SchemaError("cohort filter needs the outcome column")
+            return r.outcome == sel.kind
+        if r.age is None:
+            raise SchemaError("age_range cohort filter needs the age column")
+        return sel.lo <= r.age < sel.hi
+
+    return [(lineno, r) for lineno, r in rows if keep(r)]
+
+
+def rowwise_derive(rows, cfg, catalog):
+    """One item set per row, or SchemaError naming the first bad row's CSV line."""
+    out = []
+    for lineno, r in rows:
+        items = {catalog.id_of(name) for name, v in r.symptoms.items() if v}
+        derived = []
+        for on, field, name in (
+            (cfg.age_buckets_enabled, r.age, "age"),
+            (cfg.include_sex, r.sex, "sex"),
+            (cfg.include_outcome, r.outcome, "outcome"),
+        ):
+            if on and field is None:
+                raise SchemaError(f"row {lineno}: {name} derivation enabled but {name} missing")
+        if cfg.age_buckets_enabled:
+            derived.append(age_bucket(r.age))
+        if cfg.include_sex:
+            derived.append("Male" if r.sex == "M" else "Female")
+        if cfg.include_outcome:
+            derived.append("Death" if r.outcome == "deceased" else "Recovery")
+        if cfg.include_lab and r.lab_result is not None:
+            derived.append("Lab_Res_Pos" if r.lab_result == "pos" else "Lab_Res_Neg")
+        out.append(frozenset(items | {catalog.id_of(name) for name in derived}))
+    return out
+
+
+def outcome_of(call):
+    """A call's result, or its error's class name and message."""
+    try:
+        return call()
+    except RuleMineError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# ---------------------------------------------------------------- strategies
+
+VALID = {
+    "id": st.sampled_from(["", "p1", "x,y"]),
+    "age": st.sampled_from(["", "0", "19", "20", "39", "40", "59", "60", "95", "007"]),
+    **{name: st.sampled_from(("", a, b)) for name, (a, b) in CHOICES.items()},
+}
+BAD = {
+    "age": st.sampled_from(["-3", "x", "4.5", "-0"]),
+    **{name: st.sampled_from([a.lower() + "?", b.upper(), " "]) for name, (a, b) in CHOICES.items()},
+}
+
+
+@st.composite
+def patient_csv(draw, bad_cells=True):
+    """CSV text: some reserved columns, some symptoms, maybe blank lines,
+    CRLF, header-only, wrong cell counts and bad cells."""
+    reserved = draw(st.lists(st.sampled_from(RESERVED), unique=True))
+    symptoms = [f"s{j}" for j in range(draw(st.integers(0, 4)))]
+    header = draw(st.permutations(reserved + symptoms))
+    gaps = {c for c in reserved if draw(st.booleans())}  # the columns with empty cells
+    cells = [
+        VALID[c] if c in gaps else VALID[c].filter(bool) if c in VALID else st.sampled_from("01")
+        for c in header
+    ]
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append([])  # blank line
+            continue
+        row = [draw(cell) for cell in cells]
+        if bad_cells and header and draw(st.integers(0, 14)) == 0:
+            k = draw(st.integers(0, len(header) - 1))
+            row[k] = draw(BAD.get(header[k], st.sampled_from(["2", "", " 1", "01"])))
+        if bad_cells and draw(st.integers(0, 29)) == 0:
+            row = row + ["1"] if draw(st.booleans()) else row[:-1]
+        rows.append(row)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows([header, *rows])
+    return buf.getvalue()
+
+
+SELECTORS = st.one_of(
+    st.sampled_from([CohortSelector("all"), CohortSelector("deceased"), CohortSelector("recovered")]),
+    st.tuples(st.integers(0, 99), st.integers(1, 100))
+    .filter(lambda lh: lh[0] < lh[1])
+    .map(lambda lh: CohortSelector("age_range", lo=lh[0], hi=lh[1])),
+)
+DERIVATIONS = st.builds(DerivationConfig, st.booleans(), st.booleans(), st.booleans(), st.booleans())
+
+
+def parsed(table):
+    return table.symptom_columns, list(zip(table.lines, table.rows))
+
+
+# ---------------------------------------------------------------- properties
+
+
+@given(patient_csv(), st.sampled_from([1, 3, 4096]), st.booleans())
+@example("age,fever\n", 4096, True)  # header only
+@example("fever\r\n\r\n1\r\n\r\n", 1, False)  # CRLF and blank lines
+@example("f,outcome,sex\n1,recovered,M\n2,dead,X\n", 4096, False)  # sex is checked first
+def test_parse_matches_rowwise(text, chunk_rows, stream):
+    source = io.StringIO(text, newline="") if stream else text
+    with patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+        got = outcome_of(lambda: parsed(parse_patient_csv(source)))
+    assert got == outcome_of(lambda: rowwise_parse(text))
+
+
+@given(patient_csv(bad_cells=False), SELECTORS)
+def test_filter_cohort_matches_rowwise(text, sel):
+    table = parse_patient_csv(text)
+    got = outcome_of(lambda: parsed(filter_cohort(table, sel))[1])
+    assert got == outcome_of(lambda: rowwise_filter(rowwise_parse(text)[1], sel))
+
+
+@given(patient_csv(bad_cells=False), SELECTORS, DERIVATIONS)
+# the first row missing a value wins, whatever its column
+@example("age,sex,f\n30,M,1\n40,,0\n,F,1\n", CohortSelector("all"), DerivationConfig(True, True))
+def test_derive_items_matches_rowwise(text, sel, cfg):
+    table = parse_patient_csv(text)
+    rows = rowwise_parse(text)[1]
+    if isinstance(outcome_of(lambda: rowwise_filter(rows, sel)), tuple):
+        return  # the selector needs a column this table lacks
+    catalog = build_catalog(table, cfg)
+    cohort = filter_cohort(table, sel)
+    got = outcome_of(lambda: derive_items(cohort, cfg, catalog).transactions())
+    assert got == outcome_of(lambda: rowwise_derive(rowwise_filter(rows, sel), cfg, catalog))
+
+
+ITEM_ROWS = st.integers(1, 6).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.sets(st.integers(0, m - 1)), max_size=40))
+)
+
+
+@given(ITEM_ROWS)
+@example((3, []))  # 0 rows
+def test_from_transactions_and_back(case):
+    m, rows = case
+    ts = TransactionSet.from_transactions(rows, item_ids=range(m))
+    assert ts.n_transactions == len(rows)
+    for i in range(m):
+        assert ts.cover_bits(i) == sum(1 << t for t, row in enumerate(rows) if i in row)
+    assert ts.transactions() == [frozenset(row) for row in rows]
+
+
+@st.composite
+def sparse_case(draw):
+    m = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.sets(st.integers(0, m - 1)), max_size=40))
+    clinical = canonical_itemset(draw(st.sets(st.integers(0, m - 1))))
+    return m, rows, clinical, draw(st.integers(1, m + 2))
+
+
+@given(sparse_case())
+@example((3, [], (0, 1), 1))  # 0 rows
+@example((3, [{0, 1}, {0, 1, 2}], (0, 1), 3))  # min_count > |clinical|: every row dropped
+@example((2, [{0, 1}, {1}], (), 1))  # empty clinical_items
+def test_drop_sparse_matches_rowwise(case):
+    m, rows, clinical, min_count = case
+    ts = TransactionSet.from_transactions(rows, item_ids=range(m))
+    kept = drop_sparse_patients(ts, clinical, min_count)
+    expected = [frozenset(r) for r in rows if len(r & set(clinical)) >= min_count]
+    assert kept.n_transactions == len(expected)
+    assert kept.transactions() == expected

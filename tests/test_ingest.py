@@ -37,6 +37,10 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_patient_csv("")
 
+    def test_oversized_cell_is_a_parse_error(self):
+        with pytest.raises(ParseError, match=r"row 3: field larger than field limit"):
+            parse_patient_csv("fever\n1\n" + "1" * 200_000 + "\n")
+
     def test_crlf_accepted(self):
         table = parse_patient_csv(CSV.replace("\n", "\r\n"))
         assert len(table) == 1
