@@ -1,9 +1,16 @@
-"""Level-wise Apriori mining over the vertical transaction store.
+"""Frequent itemset mining over the vertical transaction store.
 
-Support counting reuses the parent itemset's cover: the cover of a
-k-candidate is the (k-1)-prefix cover intersected with the last item's
-cover, so each level costs one bitset AND per candidate instead of a full
-database scan. Output is identical to naive scanning.
+``mine_frequent`` searches depth-first over prefix classes (Eclat, Zaki
+2000) yet returns exactly the frequent itemsets of level-wise Apriori
+(Agrawal & Srikant 1994). The class of a prefix P holds each frequent
+P+(i,) with its cover; the cover of P+(i, j) is the AND of the covers of
+P+(i,) and P+(j,), so each candidate costs one bitset AND and only the
+covers along the current search path are alive. Items are taken in id
+order, so every itemset comes out in canonical form.
+
+``generate_candidates`` is Apriori's level-wise join and prune. The miner
+does not use it; it stays as the reference the tests and the bench's
+candidate counter use.
 """
 
 from __future__ import annotations
@@ -114,29 +121,31 @@ def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
     if n == 0:
         raise UndefinedSupportError("cannot mine an empty transaction set")
     need = required_count(cfg.min_support, n)
+    max_len = cfg.max_len or ts.n_items
 
     counts: dict[Itemset, int] = {}
-    covers: dict[Itemset, int] = {}
-    level: list[Itemset] = []
+
+    def extend(prefix: Itemset, klass: list[tuple[int, int]]) -> None:
+        # klass: the frequent prefix + (i,) as (i, cover) pairs in id order
+        for a, (i, cover) in enumerate(klass):
+            p = prefix + (i,)
+            child = []
+            for j, cover_j in klass[a + 1 :]:
+                bits = cover & cover_j
+                c = bits.bit_count()
+                if c >= need:
+                    counts[p + (j,)] = c
+                    child.append((j, bits))
+            if len(child) > 1 and len(p) + 2 <= max_len:
+                extend(p, child)
+
+    root = []
     for i in ts.item_ids():
         bits = ts.cover_bits(i)
         c = bits.bit_count()
         if c >= need:
-            s = (i,)
-            counts[s] = c
-            covers[s] = bits
-            level.append(s)
-
-    k = 2
-    while level and (cfg.max_len is None or k <= cfg.max_len):
-        next_level: list[Itemset] = []
-        for cand in sorted(generate_candidates(level)):
-            bits = covers[cand[:-1]] & ts.cover_bits(cand[-1])
-            c = bits.bit_count()
-            if c >= need:
-                counts[cand] = c
-                covers[cand] = bits
-                next_level.append(cand)
-        level = next_level
-        k += 1
+            counts[(i,)] = c
+            root.append((i, bits))
+    if max_len > 1:
+        extend((), root)
     return FrequentItemsets(counts, n)

@@ -75,8 +75,8 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
     Y ranges over the non-empty proper subsets of Z, or is only
     target_consequent when one is set, and X = Z minus Y. The filters,
     confidence >= min_confidence and lift strictly > min_lift, are
-    compared exactly on integer counts; metrics are built only for the
-    rules kept.
+    compared exactly on integer counts; metrics are built straight from
+    those counts, and only for the rules kept.
     """
     n = fi.n_transactions
     conf, lift = exact(cfg.min_confidence), exact(cfg.min_lift)
@@ -109,9 +109,18 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
                 kept.append((-c_xy, c_x, x, y, c_y))
     kept.sort()
     supp = cache(lambda c: Fraction(c, n))  # rules share one Fraction per count: less memory
-    return RuleSet(
-        [Rule(x, y, metrics(supp(-c), supp(c_x), supp(c_y))) for c, c_x, x, y, c_y in kept], n
-    )
+    rules = []
+    for neg_c_xy, c_x, x, y, c_y in kept:
+        c_xy = -neg_c_xy
+        rules.append(Rule(x, y, MetricSet(
+            antecedent_support=supp(c_x),
+            consequent_support=supp(c_y),
+            support=supp(c_xy),
+            confidence=Fraction(c_xy, c_x),
+            lift=Fraction(c_xy * n, c_x * c_y),
+            leverage=Fraction(c_xy * n - c_x * c_y, n * n),
+        )))
+    return RuleSet(rules, n)
 
 
 def dedup_rules(rs: RuleSet) -> RuleSet:

@@ -1,7 +1,9 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rulemine.apriori import (
@@ -130,12 +132,53 @@ class TestConfigValidation:
             MiningConfig(max_len=0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(transaction_sets(), st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]))
-def test_oracle_equivalence(ts, min_support):
-    fast = mine_frequent(ts, MiningConfig(min_support=min_support))
+ONE_ITEM = TransactionSet.from_transactions([{0}, set(), {0}], item_ids=[0])
+NOTHING_FREQUENT = TransactionSet.from_transactions([{0}, {1}, {2}, set()], item_ids=range(3))
+EVERY_ITEM_EVERY_ROW = TransactionSet.from_transactions([{0, 1, 2, 3}] * 5, item_ids=range(4))
+NEVER_OCCURRING = TransactionSet.from_transactions([{0, 1}, {1}], item_ids=range(3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    transaction_sets(),
+    st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 0.5]),
+    st.sampled_from([None, 1, 2, 3]),
+)
+@example(ONE_ITEM, 0.5, None)
+@example(ONE_ITEM, 0.0, 1)
+@example(NOTHING_FREQUENT, 0.5, None)
+@example(EVERY_ITEM_EVERY_ROW, 1.0, None)
+@example(EVERY_ITEM_EVERY_ROW, 1.0, 2)
+@example(NEVER_OCCURRING, 0.0, None)
+def test_oracle_equivalence(ts, min_support, max_len):
+    fast = mine_frequent(ts, MiningConfig(min_support=min_support, max_len=max_len))
     slow = brute_frequent(ts, min_support)
-    assert fast.counts == slow.counts
+    assert fast.counts == {
+        s: c for s, c in slow.counts.items() if max_len is None or len(s) <= max_len
+    }
+
+
+def test_memory_holds_covers_only_along_the_search_path():
+    # every one of k items in every row: all 2^k - 1 itemsets are frequent
+    k, n = 12, 20_000
+    full = (1 << n) - 1
+    ts = TransactionSet(n, {i: full for i in range(k)})
+    tracemalloc.start()
+    try:
+        fi = mine_frequent(ts, MiningConfig(min_support=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fi.counts) == 2**k - 1
+    # the classes along one search path hold at most k + (k-1) + ... + 1 covers
+    path_covers = k * (k + 1) // 2 * sys.getsizeof(full)
+    counts = sys.getsizeof(fi.counts) + sum(
+        sys.getsizeof(s) + sys.getsizeof(c) for s, c in fi.counts.items()
+    )
+    # twice that leaves room for the dict's resizes and the class lists
+    assert peak <= 2 * (path_covers + counts)
+    # keeping one cover per frequent itemset would not fit that bound
+    assert 2 * (path_covers + counts) < len(fi.counts) * sys.getsizeof(full)
 
 
 def test_order_and_relabeling_invariance():
