@@ -24,15 +24,7 @@ from .ingest import (
     serialize_patient_csv,
 )
 from .oracle import brute_frequent, brute_rules
-from .rules import (
-    MetricSet,
-    Rule,
-    RuleSet,
-    dedup_rules,
-    generate_rules,
-    metrics,
-    sort_rules,
-)
+from .rules import MetricSet, Rule, RuleSet, generate_rules, metrics
 from .synth import CohortSpec, generate_cohort
 
 __version__ = "0.1.0"

@@ -50,9 +50,6 @@ class FrequentItemsets:
     counts: dict[Itemset, int]
     n_transactions: int
 
-    def support(self, s: Itemset) -> Fraction:
-        return Fraction(self.counts[s], self.n_transactions)
-
     def level(self, k: int) -> dict[Itemset, int]:
         return {s: c for s, c in self.counts.items() if len(s) == k}
 

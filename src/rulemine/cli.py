@@ -41,6 +41,10 @@ REPORT_COLUMNS = (
     "Lift",
     "Leverage",
 )
+# the json names of the six metric columns, in report order
+METRIC_KEYS = (
+    "antecedent_support", "consequent_support", "support", "confidence", "lift", "leverage",
+)
 
 
 # ---------------------------------------------------------------- reporting
@@ -50,47 +54,34 @@ def _names(itemset, catalog: ItemCatalog) -> str:
     return ", ".join(catalog.name_of(i) for i in itemset)
 
 
-def _round4(v) -> str:
-    # str.format rounds half-even on the underlying binary value
-    return f"{float(v):.4f}"
-
-
 def emit_report(rs: RuleSet, catalog: ItemCatalog, fmt: str) -> str:
-    """Render a RuleSet as csv, markdown, or json (full precision + counts)."""
+    """Render a RuleSet as csv, markdown, or json (full precision + counts).
+
+    Every metric is formatted from the rule's integer counts: int / int is
+    correctly rounded, so each float is that of the exact Fraction.
+    """
+    n = rs.n_transactions
+
+    def floats(r):
+        c, a, b = r.count, r.antecedent_count, r.consequent_count
+        return a / n, b / n, c / n, c / a, c * n / (a * b), (c * n - a * b) / (n * n)
+
     if fmt == "json":
-        out = []
-        for r in rs.rules:
-            obj = {
-                "antecedent": [catalog.name_of(i) for i in r.antecedent],
-                "consequent": [catalog.name_of(i) for i in r.consequent],
-                "antecedent_support": float(r.metrics.antecedent_support),
-                "consequent_support": float(r.metrics.consequent_support),
-                "support": float(r.metrics.support),
-                "confidence": float(r.metrics.confidence),
-                "lift": float(r.metrics.lift),
-                "leverage": float(r.metrics.leverage),
-            }
-            if rs.n_transactions is not None:
-                n = rs.n_transactions
-                obj["n_transactions"] = n
-                obj["support_count"] = int(r.metrics.support * n)
-                obj["antecedent_count"] = int(r.metrics.antecedent_support * n)
-                obj["consequent_count"] = int(r.metrics.consequent_support * n)
-            out.append(obj)
+        out = [{
+            "antecedent": [catalog.name_of(i) for i in r.antecedent],
+            "consequent": [catalog.name_of(i) for i in r.consequent],
+            **dict(zip(METRIC_KEYS, floats(r))),
+            "n_transactions": n,
+            "support_count": r.count,
+            "antecedent_count": r.antecedent_count,
+            "consequent_count": r.consequent_count,
+        } for r in rs.rules]
         return json.dumps(out, indent=2) + "\n"
 
     def row_cells(r):
-        m = r.metrics
-        return [
-            _names(r.antecedent, catalog),
-            _names(r.consequent, catalog),
-            _round4(m.antecedent_support),
-            _round4(m.consequent_support),
-            _round4(m.support),
-            _round4(m.confidence),
-            _round4(m.lift),
-            _round4(m.leverage),
-        ]
+        # str.format rounds half-even on the underlying binary value
+        return [_names(r.antecedent, catalog), _names(r.consequent, catalog),
+                *(f"{v:.4f}" for v in floats(r))]
 
     if fmt == "csv":
         buf = io.StringIO()
@@ -215,13 +206,19 @@ def _load_table(path: str):
         raise RuleMineError(f"cannot read input file {path}: not UTF-8 ({exc.reason})") from None
 
 
-def _derivation_config(args) -> DerivationConfig:
-    return DerivationConfig(
+def _load_items(args):
+    """The front half every analysis command shares: load the input, keep
+    the cohort, derive items. Returns (table, derivation config, catalog,
+    transactions)."""
+    table = filter_cohort(_load_table(args.input), args.cohort)
+    cfg = DerivationConfig(
         age_buckets_enabled=args.derive_age,
         include_sex=args.derive_sex,
         include_outcome=args.derive_outcome,
         include_lab=args.derive_lab,
     )
+    catalog = build_catalog(table, cfg)
+    return table, cfg, catalog, derive_items(table, cfg, catalog)
 
 
 def _write_output(args, text: str) -> None:
@@ -236,10 +233,7 @@ def _write_output(args, text: str) -> None:
 
 
 def _cmd_freq(args) -> int:
-    table = filter_cohort(_load_table(args.input), args.cohort)
-    cfg = _derivation_config(args)
-    catalog = build_catalog(table, cfg)
-    ts = derive_items(table, cfg, catalog)
+    _, _, catalog, ts = _load_items(args)
     freq = item_frequencies(ts)
     order = sorted(freq.entries, key=lambda i: (-freq.entries[i][1], i))
     buf = io.StringIO()
@@ -253,10 +247,7 @@ def _cmd_freq(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    table = filter_cohort(_load_table(args.input), args.cohort)
-    cfg = _derivation_config(args)
-    catalog = build_catalog(table, cfg)
-    ts = derive_items(table, cfg, catalog)
+    table, _, catalog, ts = _load_items(args)
     symptom_ids = [catalog.id_of(c) for c in table.symptom_columns]
     freq = item_frequencies(project(ts, symptom_ids))
     selected = select_features(freq, args.threshold)
@@ -280,10 +271,7 @@ def _select_pipeline(table, ts, catalog, args):
 
 
 def _cmd_mine(args) -> int:
-    table = filter_cohort(_load_table(args.input), args.cohort)
-    cfg = _derivation_config(args)
-    catalog = build_catalog(table, cfg)
-    ts = derive_items(table, cfg, catalog)
+    table, cfg, catalog, ts = _load_items(args)
     symptom_ids = [catalog.id_of(c) for c in table.symptom_columns]
 
     if args.no_select:
@@ -373,10 +361,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    table = filter_cohort(_load_table(args.input), args.cohort)
-    cfg = _derivation_config(args)
-    catalog = build_catalog(table, cfg)
-    ts = derive_items(table, cfg, catalog)
+    *_, ts = _load_items(args)
     mcfg = MiningConfig(
         min_support=args.min_support,
         min_confidence=args.min_confidence,

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: full enumeration of the itemset
 lattice and full transaction scans per itemset. The threshold predicates
-are re-stated here on purpose (on Fraction metrics against the decimal
-threshold, not imported from the apriori or rules modules) so a threshold
-bug in either path shows up as a disagreement.
+and the ranking are re-stated here on purpose (on exact Fraction metrics
+against the decimal threshold, not imported from the apriori or rules
+modules) so a threshold or ordering bug in either path shows up as a
+disagreement. The rules it returns carry the counts of its own scans.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations
 from .apriori import FrequentItemsets, MiningConfig
 from .core import TransactionSet
 from .errors import CapacityError
-from .rules import Rule, RuleSet, metrics, sort_rules
+from .rules import Rule, RuleSet, metrics
 
 MAX_ORACLE_ITEMS = 24
 
@@ -42,26 +43,29 @@ def brute_frequent(ts: TransactionSet, min_support: float) -> FrequentItemsets:
 
 
 def brute_rules(ts: TransactionSet, cfg: MiningConfig) -> RuleSet:
-    """All rules over the brute-forced frequent itemsets, filtered and
-    ranked the same way as the main path."""
+    """All rules over the brute-forced frequent itemsets, filtered on exact
+    metrics and ranked by descending support, then descending confidence,
+    then antecedent and consequent lexicographically."""
     fi = brute_frequent(ts, cfg.min_support)
     rows = ts.transactions()
     n = len(rows)
     min_confidence = Decimal(str(cfg.min_confidence))
     min_lift = Decimal(str(cfg.min_lift))
-    rules = []
+    ranked = []
     for z in fi.counts:
         for r in range(1, len(z)):
             for ant in combinations(z, r):
                 cons = tuple(i for i in z if i not in ant)
                 if cfg.target_consequent is not None and cons != tuple(cfg.target_consequent):
                     continue
-                # supports recomputed by direct scan, independent of fi
+                # counts recomputed by direct scan, independent of fi
                 ant_set, cons_set, z_set = set(ant), set(cons), set(z)
-                supp_z = Fraction(sum(1 for row in rows if z_set <= row), n)
-                supp_a = Fraction(sum(1 for row in rows if ant_set <= row), n)
-                supp_c = Fraction(sum(1 for row in rows if cons_set <= row), n)
-                m = metrics(supp_z, supp_a, supp_c)
+                c_z = sum(1 for row in rows if z_set <= row)
+                c_a = sum(1 for row in rows if ant_set <= row)
+                c_c = sum(1 for row in rows if cons_set <= row)
+                m = metrics(Fraction(c_z, n), Fraction(c_a, n), Fraction(c_c, n))
                 if m.confidence >= min_confidence and m.lift > min_lift:
-                    rules.append(Rule(ant, cons, m))
-    return sort_rules(RuleSet(rules, n))
+                    key = (-m.support, -m.confidence, ant, cons)
+                    ranked.append((key, Rule(ant, cons, c_z, c_a, c_c)))
+    ranked.sort(key=lambda kr: kr[0])
+    return RuleSet([rule for _, rule in ranked], n)

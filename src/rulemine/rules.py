@@ -1,17 +1,21 @@
-"""Association rules: metric computation, enumeration, ranking.
+"""Association rules: enumeration and ranking on integer counts; metrics as a view.
+
+A Rule holds its antecedent X, its consequent Y and the counts of X∪Y, X
+and Y; its RuleSet holds the row count n once. Generation and reports work
+on these integers alone. ``RuleSet.metrics`` gives one rule's exact
+Fraction metrics on request.
 
 Metrics follow the usual definitions: confidence = support / antecedent
 support, lift = support / (antecedent support * consequent support),
-leverage = support - antecedent support * consequent support. When called
-with Fraction supports all four come out exact; floats are equally
+leverage = support - antecedent support * consequent support. ``metrics``
+takes Fraction supports, and all four come out exact; floats are equally
 accepted for reconstructing metrics from published (rounded) tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 
 from .apriori import FrequentItemsets, MiningConfig, exact
@@ -31,23 +35,36 @@ class MetricSet:
     leverage: Number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
+    """X => Y with the counts of X∪Y, X and Y among the RuleSet's rows."""
+
     antecedent: Itemset
     consequent: Itemset
-    metrics: MetricSet
+    count: int
+    antecedent_count: int
+    consequent_count: int
 
 
 @dataclass
 class RuleSet:
-    rules: list[Rule] = field(default_factory=list)
-    n_transactions: int | None = None
+    rules: list[Rule]
+    n_transactions: int
 
     def __len__(self) -> int:
         return len(self.rules)
 
     def __iter__(self):
         return iter(self.rules)
+
+    def metrics(self, rule: Rule) -> MetricSet:
+        """The rule's exact metrics, as Fractions of its counts."""
+        n = self.n_transactions
+        return metrics(
+            Fraction(rule.count, n),
+            Fraction(rule.antecedent_count, n),
+            Fraction(rule.consequent_count, n),
+        )
 
 
 def metrics(supp_xy: Number, supp_x: Number, supp_y: Number) -> MetricSet:
@@ -70,13 +87,13 @@ def metrics(supp_xy: Number, supp_x: Number, supp_y: Number) -> MetricSet:
 
 def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
     """Every partition X => Y of every frequent itemset Z that passes the
-    thresholds, ranked as by sort_rules.
+    thresholds, ranked by descending support, then descending confidence,
+    then X and Y.
 
     Y ranges over the non-empty proper subsets of Z, or is only
     target_consequent when one is set, and X = Z minus Y. The filters,
     confidence >= min_confidence and lift strictly > min_lift, are
-    compared exactly on integer counts; metrics are built straight from
-    those counts, and only for the rules kept.
+    compared exactly on integer counts, and each rule keeps only its counts.
     """
     n = fi.n_transactions
     conf, lift = exact(cfg.min_confidence), exact(cfg.min_lift)
@@ -108,41 +125,4 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
                 # joint counts the smaller antecedent count has more confidence
                 kept.append((-c_xy, c_x, x, y, c_y))
     kept.sort()
-    supp = cache(lambda c: Fraction(c, n))  # rules share one Fraction per count: less memory
-    rules = []
-    for neg_c_xy, c_x, x, y, c_y in kept:
-        c_xy = -neg_c_xy
-        rules.append(Rule(x, y, MetricSet(
-            antecedent_support=supp(c_x),
-            consequent_support=supp(c_y),
-            support=supp(c_xy),
-            confidence=Fraction(c_xy, c_x),
-            lift=Fraction(c_xy * n, c_x * c_y),
-            leverage=Fraction(c_xy * n - c_x * c_y, n * n),
-        )))
-    return RuleSet(rules, n)
-
-
-def dedup_rules(rs: RuleSet) -> RuleSet:
-    """Drop later exact (antecedent, consequent) duplicates.
-
-    X => Y and Y => X are distinct rules and both survive.
-    """
-    seen = set()
-    kept = []
-    for r in rs.rules:
-        key = (r.antecedent, r.consequent)
-        if key not in seen:
-            seen.add(key)
-            kept.append(r)
-    return RuleSet(kept, rs.n_transactions)
-
-
-def sort_rules(rs: RuleSet) -> RuleSet:
-    """Descending support, then descending confidence, then antecedent and
-    consequent lexicographically: a total deterministic order."""
-    ordered = sorted(
-        rs.rules,
-        key=lambda r: (-r.metrics.support, -r.metrics.confidence, r.antecedent, r.consequent),
-    )
-    return RuleSet(ordered, rs.n_transactions)
+    return RuleSet([Rule(x, y, -neg_c_xy, c_x, c_y) for neg_c_xy, c_x, x, y, c_y in kept], n)

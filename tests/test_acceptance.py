@@ -24,7 +24,7 @@ from rulemine.features import FrequencyMap, select_features
 from rulemine.ingest import build_catalog, derive_items, parse_patient_csv, serialize_patient_csv
 from rulemine.ingest import DerivationConfig
 from rulemine.oracle import brute_frequent, brute_rules
-from rulemine.rules import dedup_rules, generate_rules, metrics, sort_rules
+from rulemine.rules import generate_rules, metrics
 from rulemine.synth import CohortSpec, generate_cohort
 
 from conftest import random_transaction_set
@@ -247,8 +247,10 @@ def test_criterion_6_invariant_suite():
                            min_confidence=0.0, min_lift=0.0)
         rs = generate_rules(mine_frequent(ts, cfg), cfg)
         broken = None
+        ranks = []
         for r in rs.rules:
-            m = r.metrics
+            m = rs.metrics(r)
+            ranks.append((-m.support, -m.confidence, r.antecedent, r.consequent))
             if m.confidence != m.lift * m.consequent_support:  # exact Fractions
                 broken = f"confidence != lift * consequent_support for {r}"
             elif (m.leverage > 0) != (m.lift > 1) or (m.leverage == 0) != (m.lift == 1):
@@ -262,8 +264,8 @@ def test_criterion_6_invariant_suite():
         if broken:
             failures.append(f"case {case}: {broken}")
             break
-        if dedup_rules(rs).rules != rs.rules or sort_rules(rs).rules != rs.rules:
-            failures.append(f"case {case}: dedup/sort not idempotent on pipeline output")
+        if len({(r.antecedent, r.consequent) for r in rs}) != len(rs) or ranks != sorted(ranks):
+            failures.append(f"case {case}: duplicate or out-of-order rules in pipeline output")
             break
     elapsed = time.perf_counter() - start
     if elapsed >= 60.0:

@@ -3,17 +3,21 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rulemine.cli import emit_report, main
+from rulemine.apriori import MiningConfig, mine_frequent
+from rulemine.cli import METRIC_KEYS, emit_report, main
 from rulemine.core import ItemCatalog
-from rulemine.rules import MetricSet, Rule, RuleSet
+from rulemine.rules import Rule, RuleSet, generate_rules
+
+from conftest import transaction_sets
 
 CATALOG = ItemCatalog(["Fever", "Cough", "Apnea"])
 
-TABLE2_ROW1 = Rule(
-    (0,), (1,), MetricSet(0.5864, 0.6386, 0.4024, 0.4024 / 0.5864,
-                          0.4024 / (0.5864 * 0.6386), 0.4024 - 0.5864 * 0.6386)
-)
+# Table 2's first row as counts over the 2875-patient cohort
+N_PAPER = 2875
+TABLE2_ROW1 = Rule((0,), (1,), count=1157, antecedent_count=1686, consequent_count=1836)
 
 
 @pytest.fixture
@@ -36,33 +40,54 @@ def cohort_csv(tmp_path):
 
 class TestEmitReport:
     def test_md_row_matches_published_rendering(self):
-        out = emit_report(RuleSet([TABLE2_ROW1]), CATALOG, "md")
+        out = emit_report(RuleSet([TABLE2_ROW1], N_PAPER), CATALOG, "md")
         assert "| Fever | Cough | 0.5864 | 0.6386 | 0.4024 | 0.6862 | 1.0746 | 0.0279 |" in out
 
     def test_empty_csv_is_header_only(self):
-        out = emit_report(RuleSet([]), CATALOG, "csv")
+        out = emit_report(RuleSet([], N_PAPER), CATALOG, "csv")
         assert out.splitlines() == [
             "Antecedents,Consequents,Antecedent support,Consequent support,"
             "Support,Confidence,Lift,Leverage"
         ]
 
     def test_empty_json_is_empty_array(self):
-        assert json.loads(emit_report(RuleSet([]), CATALOG, "json")) == []
+        assert json.loads(emit_report(RuleSet([], N_PAPER), CATALOG, "json")) == []
 
     def test_multi_item_cell_canonical_order(self):
-        rule = Rule((0, 2), (1,), TABLE2_ROW1.metrics)
-        out = emit_report(RuleSet([rule]), CATALOG, "csv")
+        rule = Rule((0, 2), (1,), 1157, 1686, 1836)
+        out = emit_report(RuleSet([rule], N_PAPER), CATALOG, "csv")
         row = next(csv.reader(io.StringIO(out.splitlines()[1])))
         assert row[0] == "Fever, Apnea"
 
     def test_json_metrics_satisfy_invariants(self):
-        out = json.loads(emit_report(RuleSet([TABLE2_ROW1], 2875), CATALOG, "json"))
+        out = json.loads(emit_report(RuleSet([TABLE2_ROW1], N_PAPER), CATALOG, "json"))
         (obj,) = out
         assert obj["confidence"] == pytest.approx(obj["support"] / obj["antecedent_support"], rel=1e-12)
         assert obj["lift"] == pytest.approx(
             obj["support"] / (obj["antecedent_support"] * obj["consequent_support"]), rel=1e-12
         )
         assert obj["n_transactions"] == 2875
+
+
+@settings(max_examples=60, deadline=None)
+@given(transaction_sets(max_items=6), st.sampled_from([0.05, 0.1, 0.3]))
+def test_report_formats_the_exact_metrics(ts, min_support):
+    # formatting from the integer counts must give the floats of the exact
+    # Fractions: json to full precision, csv to 4 decimals
+    cfg = MiningConfig(min_support=min_support, min_lift=0.0)
+    rs = generate_rules(mine_frequent(ts, cfg), cfg)
+    catalog = ItemCatalog([f"i{i}" for i in range(max(ts.item_ids()) + 1)])
+    objs = json.loads(emit_report(rs, catalog, "json"))
+    rows = list(csv.reader(io.StringIO(emit_report(rs, catalog, "csv"))))[1:]
+    assert len(objs) == len(rows) == len(rs)
+    for r, obj, row in zip(rs, objs, rows):
+        m = rs.metrics(r)
+        exact = [float(getattr(m, k)) for k in METRIC_KEYS]
+        assert [obj[k] for k in METRIC_KEYS] == exact
+        assert (obj["support_count"], obj["antecedent_count"], obj["consequent_count"]) == (
+            r.count, r.antecedent_count, r.consequent_count)
+        assert obj["n_transactions"] == ts.n_transactions
+        assert row[2:] == [f"{v:.4f}" for v in exact]
 
 
 class TestExitCodes:

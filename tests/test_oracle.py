@@ -86,6 +86,41 @@ class TestThresholdBoundaries:
         assert _both_paths(ts, MiningConfig(min_support=0.31)) == set()
 
 
+def _ranked_keys(ts, cfg=MiningConfig(min_support=0.1, min_lift=0.0)):
+    return [(r.antecedent, r.consequent) for r in brute_rules(ts, cfg)]
+
+
+class TestRanking:
+    # the oracle ranks on its own: descending support, then descending
+    # confidence, then antecedent and consequent lexicographically
+
+    def test_support_descending(self):
+        ts = _rows([((0, 1), 2), ((2, 3), 4)], n_items=4)
+        assert _ranked_keys(ts) == [((2,), (3,)), ((3,), (2,)), ((0,), (1,)), ((1,), (0,))]
+
+    def test_confidence_breaks_support_ties(self):
+        ts = _rows([((0, 1), 3), ((0,), 3)])  # confidence 1/2 for 0 => 1, 1 for 1 => 0
+        assert _ranked_keys(ts) == [((1,), (0,)), ((0,), (1,))]
+
+    def test_lexicographic_final_tie_break(self):
+        # all four rules have support 2/6; 0 => 2 and 1 => 2 tie on confidence 2/3
+        ts = _rows([((0, 2), 2), ((1, 2), 2), ((0,), 1), ((1,), 1)], n_items=3)
+        assert _ranked_keys(ts) == [((0,), (2,)), ((1,), (2,)), ((2,), (0,)), ((2,), (1,))]
+
+    def test_total_order_independent_of_row_order(self):
+        rng = random.Random(31)
+        cfg = MiningConfig(min_support=0.1, min_lift=0.0)
+        for _ in range(20):
+            ts = random_transaction_set(rng, max_items=6, max_transactions=20)
+            rs = brute_rules(ts, cfg)
+            flipped = TransactionSet.from_transactions(
+                ts.transactions()[::-1], item_ids=ts.item_ids())
+            assert brute_rules(flipped, cfg).rules == rs.rules
+            keys = [(-m.support, -m.confidence, r.antecedent, r.consequent)
+                    for r in rs for m in [rs.metrics(r)]]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
 @pytest.mark.parametrize("target", [None, (0,), (1,)])
 def test_zero_support_with_absent_item_is_undefined(target):
     ts = _rows([((0,), 2)])  # item 1 never occurs, yet is frequent at support 0

@@ -12,22 +12,9 @@ from rulemine.errors import (
     InternalError,
     UndefinedMetricError,
 )
-from rulemine.rules import (
-    MetricSet,
-    Rule,
-    RuleSet,
-    dedup_rules,
-    generate_rules,
-    metrics,
-    sort_rules,
-)
+from rulemine.rules import generate_rules, metrics
 
 from conftest import transaction_sets
-
-
-def _rule(ant, cons, support=0.5, confidence=0.5):
-    m = MetricSet(0.9, 0.9, support, confidence, 1.0, 0.0)
-    return Rule(ant, cons, m)
 
 
 class TestMetrics:
@@ -69,7 +56,7 @@ class TestGenerateRules:
         assert len(rs) == 2
         by_key = {(r.antecedent, r.consequent): r for r in rs}
         for key in [((0,), (1,)), ((1,), (0,))]:
-            m = by_key[key].metrics
+            m = rs.metrics(by_key[key])
             assert m.confidence == Fraction(2, 3)
             assert m.lift == Fraction(8, 9)
 
@@ -121,42 +108,3 @@ def test_target_consequent_equals_filtered_untargeted(ts, min_support, min_confi
     for target in fi.counts:
         targeted = generate_rules(fi, replace(cfg, target_consequent=target))
         assert targeted.rules == [r for r in untargeted if r.consequent == target]
-
-
-class TestDedupRules:
-    def test_exact_duplicate_dropped(self):
-        r = _rule((0,), (1,))
-        assert dedup_rules(RuleSet([r, r])).rules == [r]
-
-    def test_reversed_rule_kept(self):
-        a, b = _rule((0,), (1,)), _rule((1,), (0,))
-        assert dedup_rules(RuleSet([a, b])).rules == [a, b]
-
-    def test_empty(self):
-        assert dedup_rules(RuleSet([])).rules == []
-
-    def test_idempotent(self):
-        rules = [_rule((0,), (1,)), _rule((0,), (1,)), _rule((2,), (3,))]
-        once = dedup_rules(RuleSet(rules))
-        assert dedup_rules(once).rules == once.rules
-
-
-class TestSortRules:
-    def test_support_descending(self):
-        low, high = _rule((0,), (1,), support=0.2), _rule((2,), (3,), support=0.4)
-        assert sort_rules(RuleSet([low, high])).rules == [high, low]
-
-    def test_confidence_breaks_support_ties(self):
-        a = _rule((0,), (1,), support=0.3, confidence=0.5)
-        b = _rule((2,), (3,), support=0.3, confidence=0.9)
-        assert sort_rules(RuleSet([a, b])).rules == [b, a]
-
-    def test_lexicographic_final_tie_break(self):
-        a, b = _rule((0,), (9,)), _rule((1,), (9,))
-        assert sort_rules(RuleSet([b, a])).rules == [a, b]
-
-    def test_idempotent_and_permutation(self):
-        rules = [_rule((i,), (9,), support=0.1 * i) for i in range(5)]
-        once = sort_rules(RuleSet(list(reversed(rules))))
-        assert sort_rules(once).rules == once.rules
-        assert sorted(map(id, once.rules)) == sorted(map(id, rules))
