@@ -2,7 +2,6 @@
 
 from .apriori import FrequentItemsets, MiningConfig, generate_candidates, mine_frequent
 from .core import (
-    Item,
     ItemCatalog,
     Itemset,
     TransactionSet,

@@ -148,49 +148,47 @@ def _cohort_arg(s: str) -> CohortSelector:
     )
 
 
-_CONFIG_TYPES = {
-    "cohort": _cohort_arg,
-    "feature_threshold": _fraction_arg,
-    "feature_threshold_deceased": _fraction_arg,
-    "min_support": _fraction_arg,
-    "min_confidence": _fraction_arg,
-    "min_lift": _nonneg_arg,
-    "max_len": _posint_arg,
-    "min_symptoms": _posint_arg,
-    "target_consequent": str,
-    "format": str,
-    "n": int,
-    "seed": int,
-    "mortality": _fraction_arg,
-    "male_fraction": _fraction_arg,
-    "threshold": _fraction_arg,
-}
+def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
+    """The ``key=value`` lines of a config file as flag tokens for ``sub``.
 
-
-def _load_config_file(path: str) -> dict:
-    values = {}
+    A key is one of ``sub``'s long flags, spelt with ``-`` or ``_``; a
+    store_true key is bare or ``=1``/``=true``. Each value goes through the
+    flag's own type and choices here, so a bad line is a usage error that
+    names ``path:line``.
+    """
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise RuleMineError(f"{path}:{lineno}: expected key=value")
-                key, _, raw = line.partition("=")
-                key = key.strip().replace("-", "_")
-                conv = _CONFIG_TYPES.get(key)
-                if conv is None:
-                    raise RuleMineError(f"{path}:{lineno}: unknown config key {key!r}")
-                try:
-                    values[key] = conv(raw.strip())
-                except argparse.ArgumentTypeError as exc:
-                    raise RuleMineError(f"{path}:{lineno}: {exc}") from None
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise RuleMineError(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise RuleMineError(f"cannot read config file {path}: not UTF-8 ({exc.reason})") from None
-    return values
+    tokens = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, raw = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(flag)
+        where = f"{path}:{lineno}"
+        if action is None or action.dest in ("help", "config"):
+            sub.error(f"{where}: unknown config key {key!r}")
+        if action.nargs == 0:  # a store_true flag
+            if eq and raw.lower() not in ("1", "true"):
+                sub.error(f"{where}: {key} is a switch: give it bare or as {key}=1")
+            tokens.append(flag)
+            continue
+        if not eq:
+            sub.error(f"{where}: expected {key}=value")
+        try:
+            value = action.type(raw) if action.type else raw
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"choose from {', '.join(action.choices)}")
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            sub.error(f"{where}: invalid {flag} value {raw!r}: {exc}")
+        tokens.append(f"{flag}={raw}")
+    return tokens
 
 
 # ---------------------------------------------------------------- commands
@@ -270,7 +268,10 @@ def _select_pipeline(table, ts, catalog, args):
     return selected
 
 
-def _cmd_mine(args) -> int:
+def _run_pipeline(args):
+    """Everything ``mine`` and ``verify`` run before the miner: load, cohort,
+    derive, select and project, sparse drop, target and max_len. Returns
+    (catalog, transactions, mining config)."""
     table, cfg, catalog, ts = _load_items(args)
     symptom_ids = [catalog.id_of(c) for c in table.symptom_columns]
 
@@ -292,15 +293,18 @@ def _cmd_mine(args) -> int:
         target = canonical_itemset(
             catalog.id_of(name.strip()) for name in args.target_consequent.split(",")
         )
-    mcfg = MiningConfig(
+    return catalog, ts, MiningConfig(
         min_support=args.min_support,
         min_confidence=args.min_confidence,
         min_lift=args.min_lift,
         max_len=args.max_len,
         target_consequent=target,
     )
-    fi = mine_frequent(ts, mcfg)
-    rs = generate_rules(fi, mcfg)
+
+
+def _cmd_mine(args) -> int:
+    catalog, ts, mcfg = _run_pipeline(args)
+    rs = generate_rules(mine_frequent(ts, mcfg), mcfg)
     _write_output(args, emit_report(rs, catalog, args.format))
     return 0
 
@@ -361,25 +365,19 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    *_, ts = _load_items(args)
-    mcfg = MiningConfig(
-        min_support=args.min_support,
-        min_confidence=args.min_confidence,
-        min_lift=args.min_lift,
-    )
-    fi_fast = mine_frequent(ts, mcfg)
-    fi_slow = oracle.brute_frequent(ts, mcfg.min_support)
-    rules_fast = generate_rules(fi_fast, mcfg)
-    rules_slow = oracle.brute_rules(ts, mcfg)
-    if fi_fast.counts != fi_slow.counts:
+    _, ts, mcfg = _run_pipeline(args)
+    fi = mine_frequent(ts, mcfg)
+    if fi.counts != oracle.brute_frequent(ts, mcfg.min_support, mcfg.max_len).counts:
         print("MISMATCH: frequent itemsets differ from brute-force oracle", file=sys.stderr)
         return 1
-    if rules_fast.rules != rules_slow.rules:
+    rs = generate_rules(fi, mcfg)
+    if rs.rules != oracle.brute_rules(ts, mcfg).rules:
         print("MISMATCH: rule sets differ from brute-force oracle", file=sys.stderr)
         return 1
-    sys.stdout.write(
-        f"OK: {len(fi_fast.counts)} frequent itemsets, {len(rules_fast.rules)} rules "
-        "match the brute-force oracle\n"
+    _write_output(
+        args,
+        f"OK: {len(fi.counts)} frequent itemsets, {len(rs.rules)} rules "
+        "match the brute-force oracle\n",
     )
     return 0
 
@@ -399,6 +397,24 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--derive-lab", action="store_true", help="add lab-result items")
     p.add_argument("--output", help="write the report to a file instead of stdout")
     p.add_argument("--config", help="key=value config file; flags override it")
+
+
+def _add_pipeline(p: argparse.ArgumentParser) -> None:
+    """The flags of ``_run_pipeline``, shared by ``mine`` and ``verify``."""
+    _add_common(p)
+    p.add_argument("--feature-threshold", type=_fraction_arg, default=0.15,
+                   help="all-patients selection threshold")
+    p.add_argument("--feature-threshold-deceased", type=_fraction_arg, default=0.25,
+                   help="deceased-cohort selection threshold")
+    p.add_argument("--no-select", action="store_true", help="skip feature selection")
+    p.add_argument("--min-symptoms", type=_posint_arg, default=None,
+                   help="drop patients with fewer selected symptoms than this")
+    p.add_argument("--min-support", type=_fraction_arg, default=0.001)
+    p.add_argument("--min-confidence", type=_fraction_arg, default=0.0)
+    p.add_argument("--min-lift", type=_nonneg_arg, default=1.0)
+    p.add_argument("--max-len", type=_posint_arg, default=None)
+    p.add_argument("--target-consequent", default=None,
+                   help="comma-separated item names the consequent must equal")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -421,20 +437,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subparsers["select"] = p
 
     p = sub.add_parser("mine", help="full pipeline: select, mine, rank rules")
-    _add_common(p)
-    p.add_argument("--feature-threshold", type=_fraction_arg, default=0.15,
-                   help="all-patients selection threshold")
-    p.add_argument("--feature-threshold-deceased", type=_fraction_arg, default=0.25,
-                   help="deceased-cohort selection threshold")
-    p.add_argument("--no-select", action="store_true", help="skip feature selection")
-    p.add_argument("--min-symptoms", type=_posint_arg, default=None,
-                   help="drop patients with fewer selected symptoms than this")
-    p.add_argument("--min-support", type=_fraction_arg, default=0.001)
-    p.add_argument("--min-confidence", type=_fraction_arg, default=0.0)
-    p.add_argument("--min-lift", type=_nonneg_arg, default=1.0)
-    p.add_argument("--max-len", type=_posint_arg, default=None)
-    p.add_argument("--target-consequent", default=None,
-                   help="comma-separated item names the consequent must equal")
+    _add_pipeline(p)
     p.add_argument("--format", choices=("csv", "json", "md"), default="csv")
     p.set_defaults(func=_cmd_mine)
     subparsers["mine"] = p
@@ -452,11 +455,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=_cmd_synth)
     subparsers["synth"] = p
 
-    p = sub.add_parser("verify", help="cross-check mining against the brute-force oracle")
-    _add_common(p)
-    p.add_argument("--min-support", type=_fraction_arg, default=0.001)
-    p.add_argument("--min-confidence", type=_fraction_arg, default=0.0)
-    p.add_argument("--min-lift", type=_nonneg_arg, default=0.0)
+    p = sub.add_parser("verify", help="cross-check mine's pipeline against the brute-force oracle")
+    _add_pipeline(p)
     p.set_defaults(func=_cmd_verify)
     subparsers["verify"] = p
 
@@ -466,19 +466,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-
-    args = parser.parse_args(argv)
-    # config file values become defaults; explicit flags keep precedence
-    if args.config:
-        try:
-            values = _load_config_file(args.config)
-        except RuleMineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for p in subparsers.values():
-            p.set_defaults(**values)
-        args = parser.parse_args(argv)
+    sub = subparsers.get(argv[0]) if argv else None
+    path = None
     try:
+        if sub is not None:
+            pre = argparse.ArgumentParser(prog=sub.prog, add_help=False, allow_abbrev=False)
+            pre.add_argument("--config")
+            path = pre.parse_known_args(argv[1:])[0].config
+            if path:
+                # config lines go ahead of the explicit flags, so the explicit ones win
+                argv[1:1] = _config_tokens(path, sub)
+        args = parser.parse_args(argv)
+        if args.config != path:
+            sub.error("--config must be spelt out in full")
         return args.func(args)
     except RuleMineError as exc:
         print(f"error: {exc}", file=sys.stderr)

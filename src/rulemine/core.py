@@ -9,7 +9,6 @@ support is a chain of ``&`` plus ``bit_count()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -17,12 +16,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import InvalidItemError, UndefinedSupportError
 
 Itemset = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Item:
-    id: int
-    name: str
 
 
 class ItemCatalog:
@@ -41,12 +34,6 @@ class ItemCatalog:
 
     def __len__(self) -> int:
         return len(self._names)
-
-    def __iter__(self) -> Iterator[Item]:
-        return (Item(i, n) for i, n in enumerate(self._names))
-
-    def names(self) -> list[str]:
-        return list(self._names)
 
     def id_of(self, name: str) -> int:
         try:

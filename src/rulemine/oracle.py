@@ -22,8 +22,11 @@ from .rules import Rule, RuleSet, metrics
 MAX_ORACLE_ITEMS = 24
 
 
-def brute_frequent(ts: TransactionSet, min_support: float) -> FrequentItemsets:
-    """Every frequent itemset by exhaustive lattice enumeration."""
+def brute_frequent(
+    ts: TransactionSet, min_support: float, max_len: int | None = None
+) -> FrequentItemsets:
+    """Every frequent itemset of at most ``max_len`` items by exhaustive
+    lattice enumeration."""
     items = ts.item_ids()
     if len(items) > MAX_ORACLE_ITEMS:
         raise CapacityError(
@@ -33,7 +36,7 @@ def brute_frequent(ts: TransactionSet, min_support: float) -> FrequentItemsets:
     n = len(rows)
     cut = Decimal(str(min_support))
     counts = {}
-    for k in range(1, len(items) + 1):
+    for k in range(1, (max_len or len(items)) + 1):
         for combo in combinations(items, k):
             member = set(combo)
             count = sum(1 for row in rows if member <= row)
@@ -46,7 +49,7 @@ def brute_rules(ts: TransactionSet, cfg: MiningConfig) -> RuleSet:
     """All rules over the brute-forced frequent itemsets, filtered on exact
     metrics and ranked by descending support, then descending confidence,
     then antecedent and consequent lexicographically."""
-    fi = brute_frequent(ts, cfg.min_support)
+    fi = brute_frequent(ts, cfg.min_support, cfg.max_len)
     rows = ts.transactions()
     n = len(rows)
     min_confidence = Decimal(str(cfg.min_confidence))

@@ -1,15 +1,22 @@
+import contextlib
 import csv
+import dataclasses
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulemine import cli
 from rulemine.apriori import MiningConfig, mine_frequent
-from rulemine.cli import METRIC_KEYS, emit_report, main
+from rulemine.cli import METRIC_KEYS, build_parser, emit_report, main
 from rulemine.core import ItemCatalog
+from rulemine.ingest import serialize_patient_csv
 from rulemine.rules import Rule, RuleSet, generate_rules
+from rulemine.synth import CohortSpec, generate_cohort
 
 from conftest import transaction_sets
 
@@ -192,8 +199,10 @@ class TestSelectAndConfig:
     def test_bad_config_key(self, capsys, cohort_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nonsense=1\n")
-        rc = main(["mine", "--input", str(cohort_csv), "--config", str(cfg)])
-        assert rc == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", "--input", str(cohort_csv), "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"{cfg}:1:" in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -218,6 +227,207 @@ class TestVerifyCommand:
         rc = main(["verify", "--input", str(cohort_csv), "--min-support", "0.2"])
         assert rc == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_output_flag_writes_file(self, capsys, cohort_csv, tmp_path):
+        out_path = tmp_path / "verify.txt"
+        rc = main(["verify", "--input", str(cohort_csv), "--output", str(out_path)])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
+        assert out_path.read_text().startswith("OK: ")
+
+
+# the flags of the bench's paper_death workload: the paper's Death rules
+PAPER_DEATH_FLAGS = [
+    "--derive-age", "--derive-sex", "--derive-outcome", "--min-lift", "1.0",
+    "--min-support", "0.001", "--target-consequent", "Death",
+]
+
+
+@pytest.fixture(scope="module")
+def synth_csv(tmp_path_factory):
+    spec = CohortSpec(
+        n=400,
+        marginals={"Apnea": 0.72, "Cough": 0.64, "Fever": 0.59, "Ab_Chest_Xray": 0.23,
+                   "CVD": 0.21},
+        planted_pairs=[("Fever", "Cough", 0.4024)],
+        seed=7,
+    )
+    path = tmp_path_factory.mktemp("synth") / "cohort.csv"
+    path.write_text(serialize_patient_csv(generate_cohort(spec)))
+    return path
+
+
+class TestVerifyPipeline:
+    """verify runs mine's pipeline, so mine's flags are cross-checked too."""
+
+    @pytest.mark.parametrize("extra", [[], ["--min-symptoms", "2", "--max-len", "3"]])
+    def test_paper_death_flags_match_oracle(self, capsys, synth_csv, extra):
+        rc = main(["verify", "--input", str(synth_csv), *PAPER_DEATH_FLAGS, *extra])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert out.startswith("OK: ") and " 0 rules" not in out
+
+    def test_same_rules_as_mine(self, capsys, synth_csv):
+        argv = ["--input", str(synth_csv), *PAPER_DEATH_FLAGS, "--max-len", "3"]
+        assert main(["mine", *argv, "--format", "json"]) == 0
+        n_rules = len(json.loads(capsys.readouterr().out))
+        assert main(["verify", *argv]) == 0
+        assert f" {n_rules} rules match" in capsys.readouterr().out
+
+    def test_catches_miner_ignoring_max_len(self, capsys, monkeypatch, synth_csv):
+        real = cli.mine_frequent
+        monkeypatch.setattr(
+            cli, "mine_frequent",
+            lambda ts, cfg: real(ts, dataclasses.replace(cfg, max_len=None)),
+        )
+        rc = main(["verify", "--input", str(synth_csv), *PAPER_DEATH_FLAGS,
+                   "--min-symptoms", "2", "--max-len", "3"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert "MISMATCH" in err
+
+
+class TestConfigLines:
+    """Config lines are parsed as flags of the chosen subcommand."""
+
+    def _cfg(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return path
+
+    def _usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        return err
+
+    def test_bad_choice_is_usage_error(self, capsys, cohort_csv, tmp_path):
+        cfg = self._cfg(tmp_path, "min-lift=0\nformat=xml\n")
+        err = self._usage_error(capsys, ["mine", "--input", str(cohort_csv),
+                                         "--config", str(cfg)])
+        assert f"{cfg}:2:" in err and "xml" in err
+
+    def test_bad_type_is_usage_error(self, capsys, cohort_csv, tmp_path):
+        cfg = self._cfg(tmp_path, "# thresholds\n\nmin_support=1.5\n")
+        err = self._usage_error(capsys, ["mine", "--input", str(cohort_csv),
+                                         "--config", str(cfg)])
+        assert f"{cfg}:3:" in err
+
+    @pytest.mark.parametrize("line", ["derive_age", "derive_age=1", "derive-age = true"])
+    def test_switch_keys(self, capsys, cohort_csv, tmp_path, line):
+        base = ["mine", "--input", str(cohort_csv), "--no-select", "--min-lift", "0"]
+        assert main([*base, "--derive-age"]) == 0
+        expected = capsys.readouterr().out
+        assert main([*base, "--config", str(self._cfg(tmp_path, line + "\n"))]) == 0
+        assert capsys.readouterr().out == expected
+        assert "<20" in expected or "20-40" in expected
+
+    def test_switch_key_false_is_usage_error(self, capsys, cohort_csv, tmp_path):
+        cfg = self._cfg(tmp_path, "derive_age=0\n")
+        err = self._usage_error(capsys, ["mine", "--input", str(cohort_csv),
+                                         "--config", str(cfg)])
+        assert f"{cfg}:1:" in err
+
+    def test_key_of_another_subcommand_is_usage_error(self, capsys, tmp_path):
+        cfg = self._cfg(tmp_path, "max_len=2\n")
+        err = self._usage_error(capsys, ["synth", "--n", "5", "--config", str(cfg)])
+        assert f"{cfg}:1:" in err and "max_len" in err
+
+    def test_value_key_without_value_is_usage_error(self, capsys, cohort_csv, tmp_path):
+        cfg = self._cfg(tmp_path, "min_support\n")
+        err = self._usage_error(capsys, ["mine", "--input", str(cohort_csv),
+                                         "--config", str(cfg)])
+        assert f"{cfg}:1:" in err
+
+    def test_verify_honours_config(self, capsys, synth_csv, tmp_path):
+        cfg = self._cfg(tmp_path, "derive_outcome\ntarget_consequent=Death\nmax_len=2\n")
+        flags = ["--derive-outcome", "--target-consequent", "Death", "--max-len", "2"]
+        assert main(["verify", "--input", str(synth_csv), *flags]) == 0
+        expected = capsys.readouterr().out
+        assert main(["verify", "--input", str(synth_csv), "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(["verify", "--input", str(synth_csv)]) == 0
+        assert capsys.readouterr().out != expected
+
+    def test_input_from_config_and_append_flags_add(self, capsys, tmp_path):
+        cfg = self._cfg(tmp_path, "n=12\nseed=3\nmarginal=a=0.5\n")
+        assert main(["synth", "--config", str(cfg), "--marginal", "b=0.25"]) == 0
+        generated = capsys.readouterr().out
+        assert generated.splitlines()[0].endswith(",a,b")
+        csv_path = tmp_path / "c.csv"
+        csv_path.write_text(generated)
+        cfg = self._cfg(tmp_path, f"input={csv_path}\n")
+        assert main(["freq", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("item,count,fraction\n")
+
+    @pytest.mark.parametrize("flag", ["--conf", "--co"])
+    def test_abbreviated_config_flag_is_usage_error(self, capsys, cohort_csv, tmp_path, flag):
+        # --conf would be read by the parser but not by the config lookup
+        cfg = self._cfg(tmp_path, "format=json\n")
+        self._usage_error(capsys, ["mine", "--input", str(cohort_csv), flag, str(cfg)])
+
+    def test_unreadable_config_is_data_error(self, capsys, cohort_csv, tmp_path):
+        missing = tmp_path / "missing.cfg"
+        rc = main(["mine", "--input", str(cohort_csv), "--config", str(missing)])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: cannot read config file {missing}")
+
+
+def _config_keys():
+    _, subparsers = build_parser()
+    flags = {f for p in subparsers.values() for f in p._option_string_actions}
+    # output would write files wherever the test runs
+    return sorted(f[2:] for f in flags if f.startswith("--") and f != "--output")
+
+
+FUZZ_CSV = (b"age,sex,outcome,Fever,Cough,Apnea\n30,M,recovered,1,1,1\n"
+            b"40,F,recovered,1,1,0\n55,M,deceased,1,0,1\n70,F,deceased,0,1,1\n"
+            b"25,M,recovered,1,1,1\n")
+FUZZ_VALUES = ["", "0", "1", "2", "0.5", "1.5", "-1", "nan", "inf", "true", "abc", "xml",
+               "json", "Death", "Fever,Cough", "deceased", "20-60", "a=0.5", "a,b,0.1",
+               "<20=1,>60=2"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["freq", "select", "mine", "synth", "verify"]),
+    edits=st.lists(st.tuples(st.integers(0, len(FUZZ_CSV) - 1), st.integers(0, 255)),
+                   max_size=2),
+    cut=st.none() | st.integers(0, len(FUZZ_CSV)),
+    lines=st.lists(
+        st.tuples(
+            st.sampled_from(_config_keys()) | st.text("abcz_-", min_size=1, max_size=6),
+            st.none() | st.sampled_from(FUZZ_VALUES) | st.text(max_size=4),
+        ),
+        max_size=3,
+    ),
+)
+def test_main_never_crashes(command, edits, cut, lines):
+    # bad input or config exits 1 or 2 with nothing on stdout, never a traceback
+    data = bytearray(FUZZ_CSV[:cut])  # the whole file when cut is None
+    for pos, byte in edits:
+        if pos < len(data):
+            data[pos] = byte
+    text = "".join(key + "\n" if value is None else f"{key}={value}\n" for key, value in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, cfg_path = os.path.join(tmp, "in.csv"), os.path.join(tmp, "run.cfg")
+        with open(csv_path, "wb") as fh:
+            fh.write(data)
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        head = ["--n", "4"] if command == "synth" else ["--input", csv_path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main([command, *head, "--config", cfg_path])
+            except SystemExit as exc:
+                rc = exc.code
+    assert rc in (0, 1, 2)
+    if rc != 0:
+        assert out.getvalue() == ""
 
 
 class TestBadInputAndOutput:
