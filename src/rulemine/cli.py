@@ -124,14 +124,19 @@ def _nonneg_arg(s: str) -> float:
     return v
 
 
-def _posint_arg(s: str) -> int:
-    try:
-        v = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {s}")
-    return v
+def _int_arg(lo: int):
+    """The argparse type of integers >= ``lo``."""
+
+    def parse(s: str) -> int:
+        try:
+            v = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}: {s}")
+        return v
+
+    return parse
 
 
 def _cohort_arg(s: str) -> CohortSelector:
@@ -407,12 +412,12 @@ def _add_pipeline(p: argparse.ArgumentParser) -> None:
     p.add_argument("--feature-threshold-deceased", type=_fraction_arg, default=0.25,
                    help="deceased-cohort selection threshold")
     p.add_argument("--no-select", action="store_true", help="skip feature selection")
-    p.add_argument("--min-symptoms", type=_posint_arg, default=None,
+    p.add_argument("--min-symptoms", type=_int_arg(1), default=None,
                    help="drop patients with fewer selected symptoms than this")
     p.add_argument("--min-support", type=_fraction_arg, default=0.001)
     p.add_argument("--min-confidence", type=_fraction_arg, default=0.0)
     p.add_argument("--min-lift", type=_nonneg_arg, default=1.0)
-    p.add_argument("--max-len", type=_posint_arg, default=None)
+    p.add_argument("--max-len", type=_int_arg(1), default=None)
     p.add_argument("--target-consequent", default=None,
                    help="comma-separated item names the consequent must equal")
 
@@ -443,7 +448,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subparsers["mine"] = p
 
     p = sub.add_parser("synth", help="generate a synthetic cohort CSV")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--marginal", action="append", metavar="NAME=FRACTION")
     p.add_argument("--planted", action="append", metavar="A,B,JOINT")

@@ -4,14 +4,16 @@ Itemsets are plain tuples of item ids in strictly increasing order (the
 canonical form); tuple equality and ordering then coincide with itemset
 equality and a total order. Transaction covers are stored one Python int
 per item, bit t set when transaction t contains the item, so itemset
-support is a chain of ``&`` plus ``bit_count()``.
+support is a chain of ``&`` plus ``bit_count()``. Converting a bitset to
+and from one '0'/'1' byte per row (``format``, ``int(..., 2)``,
+``int.from_bytes``) is how rows are selected and dropped in linear time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidItemError, UndefinedSupportError
 
@@ -77,10 +79,28 @@ def row_indices(bits: int, n: int) -> Iterator[int]:
     return compress(range(n - 1, -1, -1), row_selector(bits, n))
 
 
-def compact_bits(bits: int, n: int, selector: bytes) -> int:
-    """``bits`` restricted to the rows ``selector`` keeps, renumbered in order."""
-    kept = "".join(compress(format(bits, f"0{n}b"), selector))
-    return int(kept, 2) if kept else 0
+_DROP = bytes.maketrans(b"01", b"\x40\x00")
+
+
+def row_compactor(keep: int, n: int) -> Callable[[int], int]:
+    """The function taking a row bitset over n rows to its rows in ``keep``,
+    renumbered in order.
+
+    A bitset is formatted as one '0'/'1' byte (0x30/0x31) per row; OR-ing
+    in 0x40 on the dropped rows makes those bytes 'p'/'q', and
+    ``bytes.translate`` deletes them.
+    """
+    if not n:
+        return lambda bits: 0
+    fmt = f"0{n}b"
+    drop = int.from_bytes(format(keep, fmt).encode().translate(_DROP), "big")
+
+    def compact(bits: int) -> int:
+        flags = int.from_bytes(format(bits, fmt).encode(), "big") | drop
+        kept = flags.to_bytes(n, "big").translate(None, b"pq")
+        return int(kept, 2) if kept else 0
+
+    return compact
 
 
 def canonical_itemset(items: Iterable[int]) -> Itemset:

@@ -6,10 +6,14 @@ binary symptom column. Demographic/outcome items are injected as extra
 transaction items so they can appear inside rules.
 
 Tables are columnar from the CSV to the miner: each symptom column is one
-row bitset and each reserved column one per-row list. Parsing transposes
-fixed-size chunks of rows into columns, and cohort filters, derived items
+row bitset and each reserved column one per-row list. Parsing turns
+fixed-size chunks of lines into columns, and cohort filters, derived items
 and the sparse-patient drop work on whole columns, so every stage takes
-time linear in the number of cells.
+time linear in the number of cells. The per-row work runs inside str and
+bytes methods: a quote-free chunk under a reserved-first header is split
+with ``str.split`` and sliced into columns, a reserved column's row
+bitsets come from one byte code per row and ``bytes.translate``, and rows
+are dropped from a bitset with ``core.row_compactor``.
 """
 
 from __future__ import annotations
@@ -17,17 +21,17 @@ from __future__ import annotations
 import csv
 import io
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 
 from .core import (
     ItemCatalog,
     Itemset,
     TransactionSet,
     bits_to_flags,
-    compact_bits,
     flags_to_bits,
+    row_compactor,
     row_selector,
 )
 from .errors import ConfigError, InternalError, ParseError, RuleMineError, SchemaError
@@ -166,65 +170,160 @@ _FLAG_CELLS = frozenset("01")
 def parse_patient_csv(source: str | Iterable[str]) -> PatientTable:
     """Parse a patient CSV into a PatientTable.
 
-    ``source`` is the CSV text or a text file opened with ``newline=""``;
-    a file is read CHUNK_ROWS rows at a time, so the text is never held
+    ``source`` is the CSV text or a text file opened with ``newline=""``
+    (text is read as such a file, so LF, CRLF and CR line ends all work);
+    it is read CHUNK_ROWS lines at a time, so the text is never held
     whole. Symptom cells must be exactly 0 or 1; anything else is a hard
     parse error (no imputation) naming the CSV row and column.
+
+    csv.reader reads the header. While the lines hold no quote, each chunk
+    is split with str methods (see ``_slice_chunk``); a chunk that fails
+    one of its checks is split cell by cell and checked again, and the
+    first chunk with a quote, a lone CR or a line too long for csv hands
+    the rest of the input to csv.reader, so every message is csv.reader's.
     """
-    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
-    try:
-        return _parse(reader)
-    except csv.Error as exc:
-        raise ParseError(f"row {reader.line_num}: {exc}") from None
-
-
-def _parse(reader) -> PatientTable:
+    lines = iter(io.StringIO(source, newline="") if isinstance(source, str) else source)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError("empty file: no header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
     if len(header) != len(set(header)):
         dupes = sorted({c for c in header if header.count(c) > 1})
         raise SchemaError(f"duplicate header names: {', '.join(dupes)}")
     symptom_columns = [c for c in header if c not in RESERVED_COLUMNS]
     col_index = {c: k for k, c in enumerate(header)}
+    # the reserved columns come first, as serialize_patient_csv writes them
+    head = header[: len(header) - len(symptom_columns)]
+    sliceable = header[len(head) :] == symptom_columns
 
     flags: list[list[str]] = [[] for _ in symptom_columns]
     reserved: dict[str, list] = {name: [] for name in _CELLS}
-    lines = array("q")
-    for chunk, chunk_lines in _chunks(reader):
-        # whole-column checks; the first bad row is found by rescanning
-        try:
-            if set(map(len, chunk)) != {len(header)}:
-                raise ValueError("cell count")
-            cols = list(zip(*chunk))
-            for name, values in reserved.items():
-                k = col_index.get(name)
-                values.extend(repeat(None, len(chunk)) if k is None else map(_CELLS[name], cols[k]))
-            for j, name in enumerate(symptom_columns):
-                col = cols[col_index[name]]
-                if not _FLAG_CELLS.issuperset(col):
-                    raise ValueError(name)
-                flags[j].append("".join(col))
-        except (ValueError, KeyError):
-            raise _first_error(chunk, chunk_lines, col_index, symptom_columns) from None
-        lines.extend(chunk_lines)
+    line_numbers = array("q")
+    lineno = 1  # the header's
+    for chunk in _chunks(lines, reader.line_num):
+        chunk_lines: Sequence[int] = range(lineno + 1, lineno + 1 + len(chunk))
+        lineno += len(chunk)
+        if not all(chunk):  # blank lines
+            kept = [k for k, row in enumerate(chunk) if row]
+            chunk, chunk_lines = [chunk[k] for k in kept], [chunk_lines[k] for k in kept]
+            if not chunk:
+                continue
+        got = None
+        if isinstance(chunk[0], str):  # quote-free lines
+            if sliceable:
+                got = _slice_chunk(chunk, head, len(symptom_columns))
+            if got is None:
+                chunk = [row.split(",") for row in chunk]
+        if got is None:
+            try:
+                got = _record_chunk(chunk, col_index, symptom_columns)
+            except (ValueError, KeyError):
+                raise _first_error(chunk, chunk_lines, col_index, symptom_columns) from None
+        values, chunk_flags = got
+        for name, column in values.items():
+            reserved[name].extend(column)
+        for parts, f in zip(flags, chunk_flags):
+            parts.append(f)
+        line_numbers.extend(chunk_lines)
 
     covers = [flags_to_bits("".join(parts)) for parts in flags]
-    return PatientTable(symptom_columns, covers, **reserved, lines=lines)
+    return PatientTable(symptom_columns, covers, **reserved, lines=line_numbers)
 
 
-def _chunks(reader) -> Iterator[tuple[list[list[str]], Sequence[int]]]:
-    """Non-blank rows, up to CHUNK_ROWS at a time, with their CSV line numbers."""
-    lineno = 1  # the header's
-    while chunk := list(islice(reader, CHUNK_ROWS)):
-        lines: Sequence[int] = range(lineno + 1, lineno + 1 + len(chunk))
-        lineno += len(chunk)
-        if [] in chunk:  # blank lines
-            kept = [k for k, cells in enumerate(chunk) if cells]
-            chunk, lines = [chunk[k] for k in kept], [lines[k] for k in kept]
-        if chunk:
-            yield chunk, lines
+def _chunks(lines: Iterator[str], line_num: int) -> Iterator[list]:
+    """The rows after the header, up to CHUNK_ROWS at a time, blank ones too.
+
+    A chunk is its lines with the line ends stripped while they hold no
+    quote, no CR outside CRLF and no line longer than csv's field limit;
+    from the first chunk that does, csv.reader reads the rest of the input
+    (a quoted field may span lines) and chunks are its records.
+    ``line_num`` is the number of lines read so far.
+    """
+    while block := list(islice(lines, CHUNK_ROWS)):
+        text = "".join(block)
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+        rows = text.split("\n")
+        if not rows[-1]:
+            rows.pop()
+        if (
+            len(rows) != len(block)
+            or '"' in text
+            or "\r" in text
+            or max(map(len, rows)) > csv.field_size_limit()
+        ):
+            reader = csv.reader(chain(block, lines))
+            try:
+                while chunk := list(islice(reader, CHUNK_ROWS)):
+                    yield chunk
+            except csv.Error as exc:
+                raise ParseError(f"row {line_num + reader.line_num}: {exc}") from None
+            return
+        line_num += len(block)
+        yield rows
+
+
+def _slice_chunk(rows: list[str], head: list[str], n_symptoms: int):
+    """The reserved values and symptom flag strings of quote-free ``rows``
+    under a header of the reserved columns ``head`` then ``n_symptoms``
+    symptoms, or None when a row is not len(head) valid reserved cells
+    then n_symptoms 0/1 cells.
+
+    Each row is split once at its first len(head) commas; the symptom
+    remainders, joined with commas, must be 2*n_symptoms-1 characters each
+    with commas at the odd positions and only 0 and 1 at the even ones, so
+    symptom j's flags are every n_symptoms-th even character from j.
+    """
+    parts = list(map(str.split, rows, repeat(","), repeat(len(head))))
+    if set(map(len, parts)) != {len(head) + (n_symptoms > 0)}:
+        return None
+    columns = list(zip(*parts))
+    flags = []
+    if n_symptoms:
+        tails = columns.pop()
+        if set(map(len, tails)) != {2 * n_symptoms - 1}:
+            return None
+        cells = ",".join(tails)
+        commas, digits = cells[1::2], cells[::2]
+        if commas != "," * len(commas) or digits.encode().translate(None, b"01"):
+            return None
+        flags = [digits[j::n_symptoms] for j in range(n_symptoms)]
+    try:
+        return _values(dict(zip(head, columns)), len(rows)), flags
+    except (ValueError, KeyError):  # a bad reserved cell
+        return None
+
+
+def _record_chunk(chunk: list[list[str]], col_index: dict[str, int], symptoms: list[str]):
+    """``_slice_chunk`` for rows split into cells; raises ValueError or
+    KeyError where that returns None."""
+    if set(map(len, chunk)) != {len(col_index)}:
+        raise ValueError("cell count")
+    columns = list(zip(*chunk))
+    flags = []
+    for name in symptoms:
+        col = columns[col_index[name]]
+        if not _FLAG_CELLS.issuperset(col):
+            raise ValueError(name)
+        flags.append("".join(col))
+    return _values({name: columns[k] for name, k in col_index.items()}, len(chunk)), flags
+
+
+def _values(columns: dict[str, Sequence[str]], n: int) -> dict[str, Iterable]:
+    """Each reserved column's values for ``n`` rows, each distinct cell
+    parsed once; None throughout a column the CSV lacks."""
+    out: dict[str, Iterable] = {}
+    for name, parse in _CELLS.items():
+        cells = columns.get(name)
+        if cells is None:
+            out[name] = repeat(None, n)
+        else:
+            memo = {v: parse(v) for v in set(cells)}
+            out[name] = map(memo.__getitem__, cells)
+    return out
 
 
 def _first_error(
@@ -280,15 +379,27 @@ def cohort_mask(table: PatientTable, sel: CohortSelector) -> int:
     if sel.kind in ("deceased", "recovered"):
         if None in table.outcome:
             raise SchemaError("cohort filter needs the outcome column")
-        return _rows_where(table.outcome, sel.kind)  # the kinds are the outcome values
+        return _value_rows(table.outcome).get(sel.kind, 0)  # the kinds are the outcome values
     if None in table.age:
         raise SchemaError("age_range cohort filter needs the age column")
-    return flags_to_bits("".join(["1" if sel.lo <= a < sel.hi else "0" for a in table.age]))
+    return _value_rows(table.age, lambda a: sel.lo <= a < sel.hi).get(True, 0)
 
 
-def _rows_where(values: Sequence, value) -> int:
-    """Row bitset of the rows whose value equals ``value``."""
-    return flags_to_bits("".join(["1" if v == value else "0" for v in values]))
+def _value_rows(column: Sequence, key: Callable | None = None) -> dict:
+    """The row bitset of each distinct value of ``column``, or of each
+    distinct ``key(value)``; ``key`` runs once per distinct value.
+
+    Each row becomes a one-byte code (so at most 256 distinct results),
+    and each result's bitset is the codes translated to '0'/'1' bytes.
+    """
+    label = {v: v if key is None else key(v) for v in set(column)}
+    codes = {result: k for k, result in enumerate(set(label.values()))}
+    code_of = {v: codes[result] for v, result in label.items()}
+    coded = bytes(map(code_of.__getitem__, column))[::-1]  # row n-1 first
+    return {
+        result: int(coded.translate(b"0" * k + b"1" + b"0" * (255 - k)), 2)
+        for result, k in codes.items()
+    }
 
 
 def filter_cohort(table: PatientTable, sel: CohortSelector) -> PatientTable:
@@ -296,11 +407,12 @@ def filter_cohort(table: PatientTable, sel: CohortSelector) -> PatientTable:
     if sel.kind == "all":
         return table
     n = len(table)
-    selector = row_selector(cohort_mask(table, sel), n)
-    in_row_order = selector[::-1]
+    keep = cohort_mask(table, sel)
+    compact = row_compactor(keep, n)
+    in_row_order = row_selector(keep, n)[::-1]
     return PatientTable(
         list(table.symptom_columns),
-        [compact_bits(c, n, selector) for c in table.covers],
+        list(map(compact, table.covers)),
         *(list(compress(getattr(table, name), in_row_order)) for name in _CELLS),
         lines=array("q", compress(table.lines, in_row_order)),
     )
@@ -349,15 +461,16 @@ def derive_items(
         name = needed[k][0]
         raise SchemaError(f"row {table.lines[t]}: {name} derivation enabled but {name} missing")
 
-    columns = {name: getattr(table, name) for name in ("sex", "outcome", "lab_result")}
-    if cfg.age_buckets_enabled:
-        columns["age"] = list(map(age_bucket, table.age))
     covers = dict.fromkeys(range(len(catalog)), 0)
     for name, bits in zip(table.symptom_columns, table.covers):
         covers[catalog.id_of(name)] = bits
+    value_rows: dict[str, dict] = {}  # reserved column -> its _value_rows
     for name in cfg.derived_names():
         column, value = _DERIVED[name]
-        covers[catalog.id_of(name)] = _rows_where(columns[column], value)
+        if column not in value_rows:
+            key = age_bucket if column == "age" else None
+            value_rows[column] = _value_rows(getattr(table, column), key)
+        covers[catalog.id_of(name)] = value_rows[column].get(value, 0)
     return TransactionSet(len(table), covers)
 
 
@@ -381,6 +494,6 @@ def drop_sparse_patients(
         bits = ts.cover_bits(i)
         for j in range(k, 0, -1):
             at_least[j] |= at_least[j - 1] & bits
-    selector = row_selector(at_least[k], n)
-    covers = {i: compact_bits(ts.cover_bits(i), n, selector) for i in ts.item_ids()}
+    compact = row_compactor(at_least[k], n)
+    covers = {i: compact(ts.cover_bits(i)) for i in ts.item_ids()}
     return TransactionSet(at_least[k].bit_count(), covers)

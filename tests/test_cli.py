@@ -215,6 +215,12 @@ class TestSynthCommand:
         table = parse_patient_csv(capsys.readouterr().out)
         assert len(table) == 20 and table.symptom_columns == ["fever", "cough"]
 
+    def test_negative_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--n", "-1"])
+        assert exc.value.code == 2
+        assert "--n: must be >= 0" in capsys.readouterr().err
+
     def test_infeasible_planted_pair(self, capsys):
         rc = main(["synth", "--n", "10", "--marginal", "a=0.1", "--marginal", "b=0.1",
                    "--planted", "a,b,0.5"])

@@ -37,7 +37,7 @@ CHOICES = {"sex": ("M", "F"), "outcome": ("recovered", "deceased"), "lab_result"
 
 def rowwise_parse(text):
     """(symptom columns, [(CSV line, PatientRecord)]), or ParseError."""
-    header, *body = csv.reader(io.StringIO(text))
+    header, *body = csv.reader(io.StringIO(text, newline=""))
     symptoms = [c for c in header if c not in RESERVED]
     rows = []
     for lineno, cells in enumerate(body, start=2):
@@ -133,10 +133,15 @@ BAD = {
 @st.composite
 def patient_csv(draw, bad_cells=True):
     """CSV text: some reserved columns, some symptoms, maybe blank lines,
-    CRLF, header-only, wrong cell counts and bad cells."""
+    CRLF or CR line ends, header-only, wrong cell counts and bad cells.
+    The header either mixes the columns or leads with the reserved ones,
+    as serialize_patient_csv writes it."""
     reserved = draw(st.lists(st.sampled_from(RESERVED), unique=True))
     symptoms = [f"s{j}" for j in range(draw(st.integers(0, 4)))]
-    header = draw(st.permutations(reserved + symptoms))
+    if draw(st.booleans()):
+        header = draw(st.permutations(reserved)) + draw(st.permutations(symptoms))
+    else:
+        header = draw(st.permutations(reserved + symptoms))
     gaps = {c for c in reserved if draw(st.booleans())}  # the columns with empty cells
     cells = [
         VALID[c] if c in gaps else VALID[c].filter(bool) if c in VALID else st.sampled_from("01")
@@ -155,7 +160,7 @@ def patient_csv(draw, bad_cells=True):
             row = row + ["1"] if draw(st.booleans()) else row[:-1]
         rows.append(row)
     buf = io.StringIO()
-    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows([header, *rows])
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"]))).writerows([header, *rows])
     return buf.getvalue()
 
 
@@ -179,6 +184,14 @@ def parsed(table):
 @example("age,fever\n", 4096, True)  # header only
 @example("fever\r\n\r\n1\r\n\r\n", 1, False)  # CRLF and blank lines
 @example("f,outcome,sex\n1,recovered,M\n2,dead,X\n", 4096, False)  # sex is checked first
+@example('age,f,g\n5,"1",0\n6,0,1\n', 4096, False)  # a quoted symptom cell
+@example('id,age,f\np1,5,1\n"x,y",6,0\n7,7,1\n', 1, True)  # a quote only in the second chunk
+@example("age,sex\n5,M\n\n6,F\n", 4096, False)  # no symptom columns
+@example("age,sex\n5,M,1\n", 4096, False)  # no symptom columns, one cell too many
+@example("age,f\n5,1\r6,0\n7,1\n", 4096, False)  # a lone CR inside a line of a str source
+@example("age,f\n5,1\n6,2\n", 1, False)  # a bad cell in the second chunk
+@example("age,f,g\n5,011\n", 4096, False)  # a short row as long as a full one
+@example("age,f,g\n5,0,1,0\n6,1\n", 4096, False)  # a long row, then a short one
 def test_parse_matches_rowwise(text, chunk_rows, stream):
     source = io.StringIO(text, newline="") if stream else text
     with patch.object(ingest, "CHUNK_ROWS", chunk_rows):
@@ -187,6 +200,12 @@ def test_parse_matches_rowwise(text, chunk_rows, stream):
 
 
 @given(patient_csv(bad_cells=False), SELECTORS)
+@example("age,outcome,f\n", CohortSelector("deceased"))  # 0 rows
+@example("outcome,f\nrecovered,1\nrecovered,0\n", CohortSelector("deceased"))  # every row dropped
+@example("age,f\n30,1\n40,0\n", CohortSelector("age_range", lo=0, hi=100))  # no row dropped
+@example("outcome,f\ndeceased,1\n", CohortSelector("deceased"))  # one row
+@example("age,outcome,f\n,deceased,1\n,recovered,0\n", CohortSelector("deceased"))  # age all None
+@example("age,f\n,1\n,0\n", CohortSelector("age_range", lo=0, hi=50))  # age all None
 def test_filter_cohort_matches_rowwise(text, sel):
     table = parse_patient_csv(text)
     got = outcome_of(lambda: parsed(filter_cohort(table, sel))[1])
@@ -196,6 +215,20 @@ def test_filter_cohort_matches_rowwise(text, sel):
 @given(patient_csv(bad_cells=False), SELECTORS, DERIVATIONS)
 # the first row missing a value wins, whatever its column
 @example("age,sex,f\n30,M,1\n40,,0\n,F,1\n", CohortSelector("all"), DerivationConfig(True, True))
+@example("age,sex,outcome,f\n", CohortSelector("all"), DerivationConfig(True, True, True, True))
+@example(  # every row dropped
+    "age,sex,outcome,f\n30,M,recovered,1\n", CohortSelector("deceased"), DerivationConfig(True, True, True)
+)
+@example(  # no row dropped
+    "age,outcome,f\n30,deceased,1\n70,deceased,0\n", CohortSelector("age_range", lo=0, hi=100),
+    DerivationConfig(True, False, True),
+)
+@example(  # one row
+    "age,sex,outcome,lab_result,f\n61,F,deceased,pos,1\n", CohortSelector("all"),
+    DerivationConfig(True, True, True, True),
+)
+@example("lab_result,f\n,1\n,0\n", CohortSelector("all"), DerivationConfig(include_lab=True))
+@example("sex,f\n,1\n,0\n", CohortSelector("all"), DerivationConfig(include_sex=True))
 def test_derive_items_matches_rowwise(text, sel, cfg):
     table = parse_patient_csv(text)
     rows = rowwise_parse(text)[1]
@@ -235,6 +268,9 @@ def sparse_case(draw):
 @example((3, [], (0, 1), 1))  # 0 rows
 @example((3, [{0, 1}, {0, 1, 2}], (0, 1), 3))  # min_count > |clinical|: every row dropped
 @example((2, [{0, 1}, {1}], (), 1))  # empty clinical_items
+@example((2, [{0, 1}, {0, 1}], (0, 1), 2))  # no row dropped
+@example((3, [{0, 2}], (0, 2), 1))  # one row
+@example((3, [{0}, {0, 1}, {0}], (0, 1, 2), 1))  # item 2's cover is empty
 def test_drop_sparse_matches_rowwise(case):
     m, rows, clinical, min_count = case
     ts = TransactionSet.from_transactions(rows, item_ids=range(m))
@@ -242,3 +278,39 @@ def test_drop_sparse_matches_rowwise(case):
     expected = [frozenset(r) for r in rows if len(r & set(clinical)) >= min_count]
     assert kept.n_transactions == len(expected)
     assert kept.transactions() == expected
+
+
+def test_quote_free_chunks_skip_csv_reader():
+    """Three quote-free chunks under a reserved-first header: csv.reader
+    tokenises the header only, and no chunk is split cell by cell."""
+    real_reader = csv.reader
+    rows_read = []
+
+    class CountingReader:
+        def __init__(self, *args, **kwargs):
+            self._reader = real_reader(*args, **kwargs)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            row = next(self._reader)
+            rows_read.append(row)
+            return row
+
+        @property
+        def line_num(self):
+            return self._reader.line_num
+
+    text = "age,sex,outcome,f,g\n" + "".join(
+        f"{20 + t},{'MF'[t % 2]},recovered,{t % 2},{t // 3 % 2}\n" for t in range(9)
+    )
+    with (
+        patch.object(ingest, "CHUNK_ROWS", 3),
+        patch.object(ingest.csv, "reader", CountingReader),
+        patch.object(ingest, "_record_chunk", wraps=ingest._record_chunk) as record_chunk,
+    ):
+        got = parsed(parse_patient_csv(text))
+    assert rows_read == [["age", "sex", "outcome", "f", "g"]]
+    assert record_chunk.call_count == 0
+    assert got == rowwise_parse(text)

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from rulemine.core import canonical_itemset, cover_of
@@ -44,6 +46,12 @@ class TestParse:
     def test_crlf_accepted(self):
         table = parse_patient_csv(CSV.replace("\n", "\r\n"))
         assert len(table) == 1
+
+    def test_cr_only_text_parses_like_a_stream(self):
+        text = "age,fever\r5,1\r6,0\r"
+        table = parse_patient_csv(text)
+        assert table == parse_patient_csv(io.StringIO(text, newline=""))
+        assert table.age == [5, 6] and list(table.lines) == [2, 3]
 
     def test_missing_demographics_tolerated(self):
         table = parse_patient_csv("fever,cough\n1,0\n")
