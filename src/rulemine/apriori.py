@@ -101,17 +101,6 @@ def generate_candidates(frequent_prev: Iterable[Itemset]) -> set[Itemset]:
     return candidates
 
 
-def count_support(ts: TransactionSet, candidates: Iterable[Itemset]) -> dict[Itemset, int]:
-    """Exact cover size of each candidate by bitset intersection."""
-    out = {}
-    for cand in candidates:
-        bits = (1 << ts.n_transactions) - 1
-        for i in cand:
-            bits &= ts.cover_bits(i)
-        out[cand] = bits.bit_count()
-    return out
-
-
 def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
     """All itemsets with support >= cfg.min_support (and size <= max_len)."""
     n = ts.n_transactions

@@ -10,7 +10,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from fractions import Fraction
 
 from . import oracle
 from .apriori import MiningConfig, mine_frequent
@@ -21,12 +23,12 @@ from .ingest import (
     CohortSelector,
     DerivationConfig,
     build_catalog,
-    cohort_mask,
     derive_items,
     drop_sparse_patients,
     filter_cohort,
     parse_patient_csv,
     serialize_patient_csv,
+    value_rows,
 )
 from .rules import RuleSet, generate_rules
 from .synth import CohortSpec, generate_cohort
@@ -104,39 +106,60 @@ def emit_report(rs: RuleSet, catalog: ItemCatalog, fmt: str) -> str:
 # ---------------------------------------------------------------- arg types
 
 
-def _fraction_arg(s: str) -> float:
-    try:
-        v = float(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {s!r}") from None
-    if not 0 <= v <= 1:
-        raise argparse.ArgumentTypeError(f"must be in [0,1]: {s}")
-    return v
+def _decimal(s: str) -> Fraction:
+    """The exact value of a finite decimal such as 0.001 or 1e-3.
+
+    A ratio such as 1/3 is not a decimal. An exponent beyond 1000 is
+    refused, as its exact value would take Fraction minutes to build.
+    """
+    if "/" in s:
+        raise ValueError(s)
+    exponent = s.lower().partition("e")[2]
+    if exponent and abs(int(exponent)) > 1000:
+        raise argparse.ArgumentTypeError(f"exponent out of range: {s!r}")
+    return Fraction(s)
 
 
-def _nonneg_arg(s: str) -> float:
-    try:
-        v = float(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {s!r}") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {s}")
-    return v
+def _number_arg(convert, lo, hi=math.inf):
+    """The argparse type of numbers ``convert(s)`` in [lo, hi]."""
+    kind = "an integer" if convert is int else "a number"
+    bound = f">= {lo}" if hi == math.inf else f"in [{lo},{hi}]"
 
-
-def _int_arg(lo: int):
-    """The argparse type of integers >= ``lo``."""
-
-    def parse(s: str) -> int:
+    def parse(s: str):
         try:
-            v = int(s)
+            v = convert(s)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
-        if v < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}: {s}")
+            raise argparse.ArgumentTypeError(f"not {kind}: {s!r}") from None
+        if not lo <= v <= hi:
+            raise argparse.ArgumentTypeError(f"must be {bound}: {s}")
         return v
 
     return parse
+
+
+_threshold_arg = _number_arg(_decimal, 0, 1)
+_float01_arg = _number_arg(float, 0, 1)
+
+
+def _fields_arg(sep: str, metavar: str, last):
+    """The argparse type of ``metavar``: fields split at ``sep``, the last
+    one parsed by ``last``."""
+    count = metavar.count(sep) + 1
+
+    def parse(s: str) -> tuple:
+        parts = s.split(sep)
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {metavar}, got {s!r}")
+        try:
+            return (*parts[:-1], last(parts[-1]))
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"{s!r}: {exc}") from None
+
+    return parse
+
+
+def _age_weights_arg(s: str) -> list[tuple[str, float]]:
+    return list(map(_fields_arg("=", "BUCKET=W", _number_arg(float, 0)), s.split(",")))
 
 
 def _cohort_arg(s: str) -> CohortSelector:
@@ -262,14 +285,13 @@ def _select_pipeline(table, ts, catalog, args):
     """Dual-threshold feature selection over the all/deceased cohorts."""
     symptoms = project(ts, [catalog.id_of(c) for c in table.symptom_columns])
     selected = select_features(item_frequencies(symptoms), args.feature_threshold)
-    # deceased leg only when the table carries outcomes
-    if table.outcome.count(None) < len(table):
-        deceased = cohort_mask(table, CohortSelector("deceased"))
-        if deceased:
-            freq_dec = item_frequencies(symptoms, rows=deceased)
-            selected = union_features(
-                selected, select_features(freq_dec, args.feature_threshold_deceased)
-            )
+    # the deceased leg counts the rows whose outcome is deceased; a blank is not
+    deceased = value_rows(table.outcome).get("deceased", 0)
+    if deceased:
+        freq_dec = item_frequencies(symptoms, rows=deceased)
+        selected = union_features(
+            selected, select_features(freq_dec, args.feature_threshold_deceased)
+        )
     return selected
 
 
@@ -314,56 +336,17 @@ def _cmd_mine(args) -> int:
     return 0
 
 
-def _parse_marginals(pairs: list[str]) -> dict[str, float]:
-    out = {}
-    for pair in pairs:
-        name, eq, raw = pair.partition("=")
-        if not eq:
-            raise RuleMineError(f"--marginal expects name=fraction, got {pair!r}")
-        try:
-            out[name] = float(raw)
-        except ValueError:
-            raise RuleMineError(f"bad marginal fraction in {pair!r}") from None
-    return out
-
-
-def _parse_planted(specs: list[str]) -> list[tuple[str, str, float]]:
-    out = []
-    for s in specs:
-        parts = s.split(",")
-        if len(parts) != 3:
-            raise RuleMineError(f"--planted expects a,b,joint, got {s!r}")
-        try:
-            out.append((parts[0], parts[1], float(parts[2])))
-        except ValueError:
-            raise RuleMineError(f"bad joint fraction in {s!r}") from None
-    return out
-
-
-def _parse_age_weights(s: str) -> list[tuple[str, float]]:
-    out = []
-    for part in s.split(","):
-        bucket, eq, raw = part.partition("=")
-        if not eq:
-            raise RuleMineError(f"--age-weights expects bucket=weight pairs, got {part!r}")
-        try:
-            out.append((bucket, float(raw)))
-        except ValueError:
-            raise RuleMineError(f"bad age weight in {part!r}") from None
-    return out
-
-
 def _cmd_synth(args) -> int:
     spec = CohortSpec(
         n=args.n,
-        marginals=_parse_marginals(args.marginal or []),
+        marginals=dict(args.marginal),
         mortality=args.mortality,
         male_fraction=args.male_fraction,
-        planted_pairs=_parse_planted(args.planted or []),
+        planted_pairs=args.planted,
         seed=args.seed,
     )
     if args.age_weights:
-        spec.age_weights = _parse_age_weights(args.age_weights)
+        spec.age_weights = args.age_weights
     table = generate_cohort(spec)
     _write_output(args, serialize_patient_csv(table))
     return 0
@@ -407,17 +390,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_pipeline(p: argparse.ArgumentParser) -> None:
     """The flags of ``_run_pipeline``, shared by ``mine`` and ``verify``."""
     _add_common(p)
-    p.add_argument("--feature-threshold", type=_fraction_arg, default=0.15,
+    p.add_argument("--feature-threshold", type=_threshold_arg, default="0.15",
                    help="all-patients selection threshold")
-    p.add_argument("--feature-threshold-deceased", type=_fraction_arg, default=0.25,
+    p.add_argument("--feature-threshold-deceased", type=_threshold_arg, default="0.25",
                    help="deceased-cohort selection threshold")
     p.add_argument("--no-select", action="store_true", help="skip feature selection")
-    p.add_argument("--min-symptoms", type=_int_arg(1), default=None,
+    p.add_argument("--min-symptoms", type=_number_arg(int, 1), default=None,
                    help="drop patients with fewer selected symptoms than this")
-    p.add_argument("--min-support", type=_fraction_arg, default=0.001)
-    p.add_argument("--min-confidence", type=_fraction_arg, default=0.0)
-    p.add_argument("--min-lift", type=_nonneg_arg, default=1.0)
-    p.add_argument("--max-len", type=_int_arg(1), default=None)
+    p.add_argument("--min-support", type=_threshold_arg, default="0.001")
+    p.add_argument("--min-confidence", type=_threshold_arg, default="0.0")
+    p.add_argument("--min-lift", type=_number_arg(_decimal, 0), default="1.0")
+    p.add_argument("--max-len", type=_number_arg(int, 1), default=None)
     p.add_argument("--target-consequent", default=None,
                    help="comma-separated item names the consequent must equal")
 
@@ -428,44 +411,40 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="Frequent-itemset and association-rule mining over binary patient data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     p = sub.add_parser("freq", help="per-item frequency table (CSV)")
     _add_common(p)
     p.set_defaults(func=_cmd_freq)
-    subparsers["freq"] = p
 
     p = sub.add_parser("select", help="threshold-based feature selection")
     _add_common(p)
-    p.add_argument("--threshold", type=_fraction_arg, default=0.15)
+    p.add_argument("--threshold", type=_threshold_arg, default="0.15")
     p.set_defaults(func=_cmd_select)
-    subparsers["select"] = p
 
     p = sub.add_parser("mine", help="full pipeline: select, mine, rank rules")
     _add_pipeline(p)
     p.add_argument("--format", choices=("csv", "json", "md"), default="csv")
     p.set_defaults(func=_cmd_mine)
-    subparsers["mine"] = p
 
     p = sub.add_parser("synth", help="generate a synthetic cohort CSV")
-    p.add_argument("--n", type=_int_arg(0), required=True)
+    p.add_argument("--n", type=_number_arg(int, 0), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--marginal", action="append", metavar="NAME=FRACTION")
-    p.add_argument("--planted", action="append", metavar="A,B,JOINT")
-    p.add_argument("--mortality", type=_fraction_arg, default=0.24)
-    p.add_argument("--male-fraction", type=_fraction_arg, default=0.59)
-    p.add_argument("--age-weights", default=None, metavar="BUCKET=W,...")
+    p.add_argument("--marginal", type=_fields_arg("=", "NAME=FRACTION", _float01_arg),
+                   action="append", default=[], metavar="NAME=FRACTION")
+    p.add_argument("--planted", type=_fields_arg(",", "A,B,JOINT", _float01_arg),
+                   action="append", default=[], metavar="A,B,JOINT")
+    p.add_argument("--mortality", type=_float01_arg, default=0.24)
+    p.add_argument("--male-fraction", type=_float01_arg, default=0.59)
+    p.add_argument("--age-weights", type=_age_weights_arg, metavar="BUCKET=W,...")
     p.add_argument("--output", help="write the CSV to a file instead of stdout")
     p.add_argument("--config", help="key=value config file; flags override it")
     p.set_defaults(func=_cmd_synth)
-    subparsers["synth"] = p
 
     p = sub.add_parser("verify", help="cross-check mine's pipeline against the brute-force oracle")
     _add_pipeline(p)
     p.set_defaults(func=_cmd_verify)
-    subparsers["verify"] = p
 
-    return parser, subparsers
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -39,9 +39,14 @@ from .errors import ConfigError, InternalError, ParseError, RuleMineError, Schem
 RESERVED_COLUMNS = ("id", "age", "sex", "outcome", "lab_result")
 
 AGE_BUCKETS = ("<20", "20-40", "40-60", ">60")
-SEX_ITEMS = ("Male", "Female")
-OUTCOME_ITEMS = ("Recovery", "Death")
-LAB_ITEMS = ("Lab_Res_Pos", "Lab_Res_Neg")
+# reserved column -> {cell value: the derived item it sets}, in catalog order;
+# an age's value is its bucket
+_ITEMS = {
+    "age": {bucket: bucket for bucket in AGE_BUCKETS},
+    "sex": {"M": "Male", "F": "Female"},
+    "outcome": {"recovered": "Recovery", "deceased": "Death"},
+    "lab_result": {"pos": "Lab_Res_Pos", "neg": "Lab_Res_Neg"},
+}
 
 CHUNK_ROWS = 4096  # CSV rows transposed into columns at a time
 
@@ -111,17 +116,13 @@ class DerivationConfig:
     include_outcome: bool = False
     include_lab: bool = False
 
+    def columns(self) -> list[str]:
+        """The reserved columns whose derived items are enabled."""
+        on = (self.age_buckets_enabled, self.include_sex, self.include_outcome, self.include_lab)
+        return [column for column, enabled in zip(_ITEMS, on) if enabled]
+
     def derived_names(self) -> list[str]:
-        names: list[str] = []
-        if self.age_buckets_enabled:
-            names.extend(AGE_BUCKETS)
-        if self.include_sex:
-            names.extend(SEX_ITEMS)
-        if self.include_outcome:
-            names.extend(OUTCOME_ITEMS)
-        if self.include_lab:
-            names.extend(LAB_ITEMS)
-        return names
+        return [item for column in self.columns() for item in _ITEMS[column].values()]
 
 
 @dataclass
@@ -158,7 +159,7 @@ def _age_cell(v: str) -> int | None:
     return age
 
 
-_CHOICES = {"sex": ("M", "F"), "outcome": ("recovered", "deceased"), "lab_result": ("pos", "neg")}
+_CHOICES = {name: tuple(_ITEMS[name]) for name in ("sex", "outcome", "lab_result")}
 # reserved column -> parser of one cell; ValueError or KeyError marks a bad cell
 _CELLS = {
     "age": _age_cell,
@@ -379,13 +380,13 @@ def cohort_mask(table: PatientTable, sel: CohortSelector) -> int:
     if sel.kind in ("deceased", "recovered"):
         if None in table.outcome:
             raise SchemaError("cohort filter needs the outcome column")
-        return _value_rows(table.outcome).get(sel.kind, 0)  # the kinds are the outcome values
+        return value_rows(table.outcome).get(sel.kind, 0)  # the kinds are the outcome values
     if None in table.age:
         raise SchemaError("age_range cohort filter needs the age column")
-    return _value_rows(table.age, lambda a: sel.lo <= a < sel.hi).get(True, 0)
+    return value_rows(table.age, lambda a: sel.lo <= a < sel.hi).get(True, 0)
 
 
-def _value_rows(column: Sequence, key: Callable | None = None) -> dict:
+def value_rows(column: Sequence, key: Callable | None = None) -> dict:
     """The row bitset of each distinct value of ``column``, or of each
     distinct ``key(value)``; ``key`` runs once per distinct value.
 
@@ -423,18 +424,6 @@ def build_catalog(table: PatientTable, cfg: DerivationConfig) -> ItemCatalog:
     return ItemCatalog(table.symptom_columns + cfg.derived_names())
 
 
-# derived item -> (reserved column, the value that sets it)
-_DERIVED = {
-    **{bucket: ("age", bucket) for bucket in AGE_BUCKETS},
-    "Male": ("sex", "M"),
-    "Female": ("sex", "F"),
-    "Recovery": ("outcome", "recovered"),
-    "Death": ("outcome", "deceased"),
-    "Lab_Res_Pos": ("lab_result", "pos"),
-    "Lab_Res_Neg": ("lab_result", "neg"),
-}
-
-
 def derive_items(
     table: PatientTable, cfg: DerivationConfig, catalog: ItemCatalog
 ) -> TransactionSet:
@@ -445,15 +434,7 @@ def derive_items(
     that carry a lab result). Symptom covers pass through unchanged; each
     derived item's cover is built from its reserved column.
     """
-    needed = [
-        (name, getattr(table, name))
-        for name, on in (
-            ("age", cfg.age_buckets_enabled),
-            ("sex", cfg.include_sex),
-            ("outcome", cfg.include_outcome),
-        )
-        if on
-    ]
+    needed = [(name, getattr(table, name)) for name in cfg.columns() if name != "lab_result"]
     # the first row missing a needed value, and its first missing column
     missing = [(values.index(None), k) for k, (_, values) in enumerate(needed) if None in values]
     if missing:
@@ -464,13 +445,10 @@ def derive_items(
     covers = dict.fromkeys(range(len(catalog)), 0)
     for name, bits in zip(table.symptom_columns, table.covers):
         covers[catalog.id_of(name)] = bits
-    value_rows: dict[str, dict] = {}  # reserved column -> its _value_rows
-    for name in cfg.derived_names():
-        column, value = _DERIVED[name]
-        if column not in value_rows:
-            key = age_bucket if column == "age" else None
-            value_rows[column] = _value_rows(getattr(table, column), key)
-        covers[catalog.id_of(name)] = value_rows[column].get(value, 0)
+    for column in cfg.columns():
+        rows = value_rows(getattr(table, column), age_bucket if column == "age" else None)
+        for value, item in _ITEMS[column].items():
+            covers[catalog.id_of(item)] = rows.get(value, 0)
     return TransactionSet(len(table), covers)
 
 

@@ -22,8 +22,14 @@ from .rules import Rule, RuleSet, metrics
 MAX_ORACLE_ITEMS = 24
 
 
+def _decimal(threshold: float | Fraction) -> Decimal | Fraction:
+    """The threshold as the decimal written: a float through its shortest
+    repr; a Fraction (as the CLI passes) is exact already."""
+    return threshold if isinstance(threshold, Fraction) else Decimal(str(threshold))
+
+
 def brute_frequent(
-    ts: TransactionSet, min_support: float, max_len: int | None = None
+    ts: TransactionSet, min_support: float | Fraction, max_len: int | None = None
 ) -> FrequentItemsets:
     """Every frequent itemset of at most ``max_len`` items by exhaustive
     lattice enumeration."""
@@ -34,7 +40,7 @@ def brute_frequent(
         )
     rows = ts.transactions()
     n = len(rows)
-    cut = Decimal(str(min_support))
+    cut = _decimal(min_support)
     counts = {}
     for k in range(1, (max_len or len(items)) + 1):
         for combo in combinations(items, k):
@@ -52,8 +58,8 @@ def brute_rules(ts: TransactionSet, cfg: MiningConfig) -> RuleSet:
     fi = brute_frequent(ts, cfg.min_support, cfg.max_len)
     rows = ts.transactions()
     n = len(rows)
-    min_confidence = Decimal(str(cfg.min_confidence))
-    min_lift = Decimal(str(cfg.min_lift))
+    min_confidence = _decimal(cfg.min_confidence)
+    min_lift = _decimal(cfg.min_lift)
     ranked = []
     for z in fi.counts:
         for r in range(1, len(z)):

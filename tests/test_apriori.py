@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rulemine.apriori import (
     MiningConfig,
-    count_support,
     generate_candidates,
     mine_frequent,
     required_count,
@@ -89,18 +88,6 @@ class TestGenerateCandidates:
                 if all(tuple(sorted(s)) in prev for s in combinations(c, k - 1))
             }
             assert generate_candidates(prev) == expected
-
-
-class TestCountSupport:
-    def test_toy_counts(self):
-        assert count_support(TOY, [(0, 1), (0, 2)]) == {(0, 1): 2, (0, 2): 1}
-
-    def test_empty_candidate(self):
-        assert count_support(TOY, [()]) == {(): 4}
-
-    def test_item_with_empty_cover(self):
-        ts = TransactionSet.from_transactions([{0}], item_ids=[0, 1])
-        assert count_support(ts, [(0, 1)]) == {(0, 1): 0}
 
 
 class TestRequiredCount:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +294,15 @@ class TestVerifyPipeline:
         assert "MISMATCH" in err
 
 
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
 class TestConfigLines:
     """Config lines are parsed as flags of the chosen subcommand."""
 
@@ -301,24 +311,16 @@ class TestConfigLines:
         path.write_text(text)
         return path
 
-    def _usage_error(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        return err
-
     def test_bad_choice_is_usage_error(self, capsys, cohort_csv, tmp_path):
         cfg = self._cfg(tmp_path, "min-lift=0\nformat=xml\n")
-        err = self._usage_error(capsys, ["mine", "--input", str(cohort_csv),
-                                         "--config", str(cfg)])
+        err = _usage_error(capsys, ["mine", "--input", str(cohort_csv),
+                                    "--config", str(cfg)])
         assert f"{cfg}:2:" in err and "xml" in err
 
     def test_bad_type_is_usage_error(self, capsys, cohort_csv, tmp_path):
         cfg = self._cfg(tmp_path, "# thresholds\n\nmin_support=1.5\n")
-        err = self._usage_error(capsys, ["mine", "--input", str(cohort_csv),
-                                         "--config", str(cfg)])
+        err = _usage_error(capsys, ["mine", "--input", str(cohort_csv),
+                                    "--config", str(cfg)])
         assert f"{cfg}:3:" in err
 
     @pytest.mark.parametrize("line", ["derive_age", "derive_age=1", "derive-age = true"])
@@ -332,19 +334,19 @@ class TestConfigLines:
 
     def test_switch_key_false_is_usage_error(self, capsys, cohort_csv, tmp_path):
         cfg = self._cfg(tmp_path, "derive_age=0\n")
-        err = self._usage_error(capsys, ["mine", "--input", str(cohort_csv),
-                                         "--config", str(cfg)])
+        err = _usage_error(capsys, ["mine", "--input", str(cohort_csv),
+                                    "--config", str(cfg)])
         assert f"{cfg}:1:" in err
 
     def test_key_of_another_subcommand_is_usage_error(self, capsys, tmp_path):
         cfg = self._cfg(tmp_path, "max_len=2\n")
-        err = self._usage_error(capsys, ["synth", "--n", "5", "--config", str(cfg)])
+        err = _usage_error(capsys, ["synth", "--n", "5", "--config", str(cfg)])
         assert f"{cfg}:1:" in err and "max_len" in err
 
     def test_value_key_without_value_is_usage_error(self, capsys, cohort_csv, tmp_path):
         cfg = self._cfg(tmp_path, "min_support\n")
-        err = self._usage_error(capsys, ["mine", "--input", str(cohort_csv),
-                                         "--config", str(cfg)])
+        err = _usage_error(capsys, ["mine", "--input", str(cohort_csv),
+                                    "--config", str(cfg)])
         assert f"{cfg}:1:" in err
 
     def test_verify_honours_config(self, capsys, synth_csv, tmp_path):
@@ -372,7 +374,7 @@ class TestConfigLines:
     def test_abbreviated_config_flag_is_usage_error(self, capsys, cohort_csv, tmp_path, flag):
         # --conf would be read by the parser but not by the config lookup
         cfg = self._cfg(tmp_path, "format=json\n")
-        self._usage_error(capsys, ["mine", "--input", str(cohort_csv), flag, str(cfg)])
+        _usage_error(capsys, ["mine", "--input", str(cohort_csv), flag, str(cfg)])
 
     def test_unreadable_config_is_data_error(self, capsys, cohort_csv, tmp_path):
         missing = tmp_path / "missing.cfg"
@@ -489,3 +491,92 @@ def test_config_flag_with_equals_sign(capsys, cohort_csv, tmp_path):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])
+
+
+class TestFlagValues:
+    """Every flag value is parsed and range-checked by its argparse type."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--marginal", "foo"), ("--marginal", "a=1.5"), ("--planted", "a,b"),
+        ("--planted", "a,b,x"), ("--age-weights", "x"), ("--age-weights", "<20=-1"),
+    ])
+    def test_bad_synth_value_is_usage_error(self, capsys, flag, value):
+        err = _usage_error(capsys, ["synth", "--n", "5", "--marginal", "a=0.5",
+                                    "--marginal", "b=0.5", flag, value])
+        assert f"argument {flag}:" in err and value in err
+
+    def test_bad_synth_config_line_names_the_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("marginal=a=0.5\nmarginal=foo\n")
+        err = _usage_error(capsys, ["synth", "--n", "5", "--config", str(cfg)])
+        assert f"{cfg}:2:" in err and "foo" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--min-lift", "inf"), ("--min-lift", "nan"), ("--min-support", "1/2"),
+        ("--min-confidence", "1.0000000000000001"), ("--min-support", "1e-100000000"),
+    ])
+    def test_bad_threshold_value_is_usage_error(self, capsys, cohort_csv, flag, value):
+        err = _usage_error(capsys, ["mine", "--input", str(cohort_csv), flag, value])
+        assert f"argument {flag}:" in err
+
+    def test_synth_types_build_the_spec(self, capsys):
+        argv = ["synth", "--n", "30", "--seed", "2", "--marginal", "a=0.4", "--marginal",
+                "b=0.5", "--planted", "a,b,0.3", "--age-weights", "<20=0.5,>60=0.5"]
+        assert main(argv) == 0
+        spec = CohortSpec(n=30, marginals={"a": 0.4, "b": 0.5}, seed=2,
+                          planted_pairs=[("a", "b", 0.3)],
+                          age_weights=[("<20", 0.5), (">60", 0.5)])
+        assert capsys.readouterr().out == serialize_patient_csv(generate_cohort(spec))
+
+    def test_threshold_is_every_digit_typed(self, capsys, tmp_path):
+        # a is in 3 of 4 rows, b and {a, b} in 2: support exactly 1/2, which
+        # 0.50000000000000001 excludes although its float is 0.5
+        path = tmp_path / "four.csv"
+        path.write_text("a,b\n1,1\n1,0\n1,1\n0,0\n")
+        base = ["--input", str(path), "--no-select", "--min-lift", "0"]
+        for value, itemsets, rules in (("0.5", 3, 2), ("0.50000000000000001", 1, 0)):
+            assert main(["mine", *base, "--min-support", value, "--format", "json"]) == 0
+            assert len(json.loads(capsys.readouterr().out)) == rules
+            assert main(["verify", *base, "--min-support", value]) == 0
+            assert capsys.readouterr().out.startswith(
+                f"OK: {itemsets} frequent itemsets, {rules} rules")
+
+    def test_thresholds_are_exact_fractions(self):
+        parser, _ = build_parser()
+        args = parser.parse_args(["mine", "--input", "x.csv", "--min-lift", "1.1"])
+        for name in ("feature_threshold", "feature_threshold_deceased", "min_support",
+                     "min_confidence", "min_lift"):
+            assert type(getattr(args, name)) is Fraction
+        assert (args.min_support, args.min_lift) == (Fraction(1, 1000), Fraction(11, 10))
+
+
+# options whose value is free text, used as given
+FREE_TEXT = {"--input", "--output", "--config", "--target-consequent"}
+
+
+def test_every_flag_value_is_parsed_by_argparse():
+    # a value flag without a type or choices would be parsed after argparse
+    _, subparsers = build_parser()
+    for name, sub in subparsers.items():
+        for action in sub._actions:
+            if action.nargs == 0 or set(action.option_strings) & FREE_TEXT:
+                continue
+            assert action.type is not None or action.choices is not None, (
+                name, action.option_strings)
+
+
+def test_blank_outcome_is_not_deceased(capsys, tmp_path):
+    # Rare is in 1 of 8 rows, under 0.15, and in 1 of the 2 deceased rows,
+    # over 0.4; counting the blank outcome as deceased would make it 1 of 3
+    path = tmp_path / "blank.csv"
+    rows = ["deceased,1,1", "deceased,1,0", ",1,0", "recovered,1,0", "recovered,0,0",
+            "recovered,1,0", "recovered,1,0", "recovered,0,0"]
+    path.write_text("outcome,Fever,Rare\n" + "".join(r + "\n" for r in rows))
+    argv = ["--input", str(path), "--min-lift", "0", "--min-support", "0.1"]
+    assert main(["mine", *argv, "--feature-threshold-deceased", "0.4", "--format", "json"]) == 0
+    assert any("Rare" in r["antecedent"] + r["consequent"]
+               for r in json.loads(capsys.readouterr().out))
+    assert main(["mine", *argv, "--feature-threshold-deceased", "0.5"]) == 0
+    assert "Rare" not in capsys.readouterr().out
+    assert main(["verify", *argv]) == 0
+    assert capsys.readouterr().out.startswith("OK: ")
