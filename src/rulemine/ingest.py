@@ -10,8 +10,9 @@ row bitset and each reserved column one per-row list. Parsing turns
 fixed-size chunks of lines into columns, and cohort filters, derived items
 and the sparse-patient drop work on whole columns, so every stage takes
 time linear in the number of cells. The per-row work runs inside str and
-bytes methods: a quote-free chunk under a reserved-first header is split
-with ``str.split`` and sliced into columns, a reserved column's row
+bytes methods: a quote-free chunk, under any header, is split with
+``str.split`` up to its last reserved column and the symptoms after that
+column are sliced into columns by character, a reserved column's row
 bitsets come from one byte code per row and ``bytes.translate``, and rows
 are dropped from a bitset with ``core.row_compactor``.
 """
@@ -177,11 +178,10 @@ def parse_patient_csv(source: str | Iterable[str]) -> PatientTable:
     whole. Symptom cells must be exactly 0 or 1; anything else is a hard
     parse error (no imputation) naming the CSV row and column.
 
-    csv.reader reads the header. While the lines hold no quote, each chunk
-    is split with str methods (see ``_slice_chunk``); a chunk that fails
-    one of its checks is split cell by cell and checked again, and the
-    first chunk with a quote, a lone CR or a line too long for csv hands
-    the rest of the input to csv.reader, so every message is csv.reader's.
+    csv.reader reads the header. Every chunk, quote-free lines or csv
+    records, is turned into columns by ``_chunk_columns``; a chunk it
+    rejects is checked row by row for the first error's message. A row's
+    number is the CSV line it starts on.
     """
     lines = iter(io.StringIO(source, newline="") if isinstance(source, str) else source)
     reader = csv.reader(lines)
@@ -195,34 +195,16 @@ def parse_patient_csv(source: str | Iterable[str]) -> PatientTable:
         dupes = sorted({c for c in header if header.count(c) > 1})
         raise SchemaError(f"duplicate header names: {', '.join(dupes)}")
     symptom_columns = [c for c in header if c not in RESERVED_COLUMNS]
-    col_index = {c: k for k, c in enumerate(header)}
-    # the reserved columns come first, as serialize_patient_csv writes them
-    head = header[: len(header) - len(symptom_columns)]
-    sliceable = header[len(head) :] == symptom_columns
+    # one past the last reserved column: the symptoms after it stay one remainder
+    lead = max((k + 1 for k, c in enumerate(header) if c in RESERVED_COLUMNS), default=0)
 
     flags: list[list[str]] = [[] for _ in symptom_columns]
     reserved: dict[str, list] = {name: [] for name in _CELLS}
     line_numbers = array("q")
-    lineno = 1  # the header's
-    for chunk in _chunks(lines, reader.line_num):
-        chunk_lines: Sequence[int] = range(lineno + 1, lineno + 1 + len(chunk))
-        lineno += len(chunk)
-        if not all(chunk):  # blank lines
-            kept = [k for k, row in enumerate(chunk) if row]
-            chunk, chunk_lines = [chunk[k] for k in kept], [chunk_lines[k] for k in kept]
-            if not chunk:
-                continue
-        got = None
-        if isinstance(chunk[0], str):  # quote-free lines
-            if sliceable:
-                got = _slice_chunk(chunk, head, len(symptom_columns))
-            if got is None:
-                chunk = [row.split(",") for row in chunk]
+    for chunk, chunk_lines in _chunks(lines, reader.line_num):
+        got = _chunk_columns(chunk, header, lead)
         if got is None:
-            try:
-                got = _record_chunk(chunk, col_index, symptom_columns)
-            except (ValueError, KeyError):
-                raise _first_error(chunk, chunk_lines, col_index, symptom_columns) from None
+            raise _first_error(chunk, chunk_lines, header)
         values, chunk_flags = got
         for name, column in values.items():
             reserved[name].extend(column)
@@ -234,8 +216,9 @@ def parse_patient_csv(source: str | Iterable[str]) -> PatientTable:
     return PatientTable(symptom_columns, covers, **reserved, lines=line_numbers)
 
 
-def _chunks(lines: Iterator[str], line_num: int) -> Iterator[list]:
-    """The rows after the header, up to CHUNK_ROWS at a time, blank ones too.
+def _chunks(lines: Iterator[str], line_num: int) -> Iterator[tuple[list, Sequence[int]]]:
+    """The non-blank rows after the header, up to CHUNK_ROWS at a time,
+    each chunk with the CSV line each of its rows starts on.
 
     A chunk is its lines with the line ends stripped while they hold no
     quote, no CR outside CRLF and no line longer than csv's field limit;
@@ -257,60 +240,67 @@ def _chunks(lines: Iterator[str], line_num: int) -> Iterator[list]:
             or max(map(len, rows)) > csv.field_size_limit()
         ):
             reader = csv.reader(chain(block, lines))
+            records, starts = [], []
+            start = line_num + 1  # the line the next record starts on
             try:
-                while chunk := list(islice(reader, CHUNK_ROWS)):
-                    yield chunk
+                for record in reader:
+                    if record:
+                        records.append(record)
+                        starts.append(start)
+                        if len(records) == CHUNK_ROWS:
+                            yield records, starts
+                            records, starts = [], []
+                    start = line_num + reader.line_num + 1
             except csv.Error as exc:
                 raise ParseError(f"row {line_num + reader.line_num}: {exc}") from None
+            if records:
+                yield records, starts
             return
-        line_num += len(block)
-        yield rows
+        starts = range(line_num + 1, line_num + 1 + len(rows))
+        line_num += len(rows)
+        if not all(rows):  # blank lines
+            kept = [k for k, row in enumerate(rows) if row]
+            rows, starts = [rows[k] for k in kept], [starts[k] for k in kept]
+        if rows:
+            yield rows, starts
 
 
-def _slice_chunk(rows: list[str], head: list[str], n_symptoms: int):
-    """The reserved values and symptom flag strings of quote-free ``rows``
-    under a header of the reserved columns ``head`` then ``n_symptoms``
-    symptoms, or None when a row is not len(head) valid reserved cells
-    then n_symptoms 0/1 cells.
+def _chunk_columns(chunk: list, header: list[str], lead: int):
+    """The reserved values and symptom flag strings of a chunk, or None
+    when a row is not one valid cell per ``header`` column.
 
-    Each row is split once at its first len(head) commas; the symptom
-    remainders, joined with commas, must be 2*n_symptoms-1 characters each
-    with commas at the odd positions and only 0 and 1 at the even ones, so
-    symptom j's flags are every n_symptoms-th even character from j.
+    A csv record comes split into cells. A quote-free line is split only
+    at its first ``lead`` commas, so the S symptoms after the last
+    reserved column stay one remainder: joined with commas, the
+    remainders must be 2S-1 characters each with commas at the odd
+    positions and only 0 and 1 at the even ones, and the j-th of them has
+    every S-th even character from j as its flags. Every other symptom is
+    a column of cells, each 0 or 1.
     """
-    parts = list(map(str.split, rows, repeat(","), repeat(len(head))))
-    if set(map(len, parts)) != {len(head) + (n_symptoms > 0)}:
+    tail = 0  # the symptoms after the last reserved column, kept as one remainder
+    if isinstance(chunk[0], str):
+        tail = len(header) - lead
+        chunk = list(map(str.split, chunk, repeat(","), repeat(lead)))
+    if set(map(len, chunk)) != {len(header) - tail + (tail > 0)}:
         return None
-    columns = list(zip(*parts))
-    flags = []
-    if n_symptoms:
-        tails = columns.pop()
-        if set(map(len, tails)) != {2 * n_symptoms - 1}:
+    columns = list(zip(*chunk))
+    trailing = []
+    if tail:
+        remainders = columns.pop()
+        if set(map(len, remainders)) != {2 * tail - 1}:
             return None
-        cells = ",".join(tails)
+        cells = ",".join(remainders)
         commas, digits = cells[1::2], cells[::2]
         if commas != "," * len(commas) or digits.encode().translate(None, b"01"):
             return None
-        flags = [digits[j::n_symptoms] for j in range(n_symptoms)]
+        trailing = [digits[j::tail] for j in range(tail)]
+    leading = [column for name, column in zip(header, columns) if name not in RESERVED_COLUMNS]
+    if not all(map(_FLAG_CELLS.issuperset, leading)):
+        return None
     try:
-        return _values(dict(zip(head, columns)), len(rows)), flags
+        return _values(dict(zip(header, columns)), len(chunk)), [*map("".join, leading), *trailing]
     except (ValueError, KeyError):  # a bad reserved cell
         return None
-
-
-def _record_chunk(chunk: list[list[str]], col_index: dict[str, int], symptoms: list[str]):
-    """``_slice_chunk`` for rows split into cells; raises ValueError or
-    KeyError where that returns None."""
-    if set(map(len, chunk)) != {len(col_index)}:
-        raise ValueError("cell count")
-    columns = list(zip(*chunk))
-    flags = []
-    for name in symptoms:
-        col = columns[col_index[name]]
-        if not _FLAG_CELLS.issuperset(col):
-            raise ValueError(name)
-        flags.append("".join(col))
-    return _values({name: columns[k] for name, k in col_index.items()}, len(chunk)), flags
 
 
 def _values(columns: dict[str, Sequence[str]], n: int) -> dict[str, Iterable]:
@@ -327,14 +317,13 @@ def _values(columns: dict[str, Sequence[str]], n: int) -> dict[str, Iterable]:
     return out
 
 
-def _first_error(
-    chunk: list[list[str]], lines: Sequence[int], col_index: dict[str, int], symptoms: list[str]
-) -> RuleMineError:
+def _first_error(chunk: list, lines: Sequence[int], header: list[str]) -> RuleMineError:
     """The error of the chunk's first bad row, checking each row cell by cell."""
-    for cells, lineno in zip(chunk, lines):
-        if len(cells) != len(col_index):
-            return ParseError(f"row {lineno}: expected {len(col_index)} cells, got {len(cells)}")
-        present = {name: cells[k] for name, k in col_index.items()}
+    for row, lineno in zip(chunk, lines):
+        cells = row.split(",") if isinstance(row, str) else row
+        if len(cells) != len(header):
+            return ParseError(f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
+        present = dict(zip(header, cells))
         raw = present.get("age", "")
         if raw:
             try:
@@ -347,9 +336,8 @@ def _first_error(
             v = present.get(name, "")
             if v not in ("", a, b):
                 return ParseError(f"row {lineno}, column {name}: expected {a} or {b}, got {v!r}")
-        for name in symptoms:
-            v = cells[col_index[name]]
-            if v not in _FLAG_CELLS:
+        for name, v in present.items():
+            if name not in RESERVED_COLUMNS and v not in _FLAG_CELLS:
                 return ParseError(f"row {lineno}, column {name}: expected 0 or 1, got {v!r}")
     return InternalError("a chunk failed a column check but none of its rows did")
 
@@ -377,13 +365,25 @@ def cohort_mask(table: PatientTable, sel: CohortSelector) -> int:
     """Row bitset of the patients ``sel`` selects."""
     if sel.kind == "all":
         return (1 << len(table)) - 1
-    if sel.kind in ("deceased", "recovered"):
-        if None in table.outcome:
-            raise SchemaError("cohort filter needs the outcome column")
+    name = "age" if sel.kind == "age_range" else "outcome"
+    if missing := _first_missing(table, [name]):
+        line, _ = missing
+        raise SchemaError(f"row {line}: {sel.kind} cohort filter needs {name} but {name} missing")
+    if name == "outcome":
         return value_rows(table.outcome).get(sel.kind, 0)  # the kinds are the outcome values
-    if None in table.age:
-        raise SchemaError("age_range cohort filter needs the age column")
     return value_rows(table.age, lambda a: sel.lo <= a < sel.hi).get(True, 0)
+
+
+def _first_missing(table: PatientTable, names: list[str]) -> tuple[int, str] | None:
+    """The CSV line and column of the first row missing a value in one of
+    the reserved columns ``names``, the earlier name on a tie; None when
+    no value is missing."""
+    columns = [getattr(table, name) for name in names]
+    missing = [(values.index(None), k) for k, values in enumerate(columns) if None in values]
+    if not missing:
+        return None
+    t, k = min(missing)
+    return table.lines[t], names[k]
 
 
 def value_rows(column: Sequence, key: Callable | None = None) -> dict:
@@ -434,13 +434,10 @@ def derive_items(
     that carry a lab result). Symptom covers pass through unchanged; each
     derived item's cover is built from its reserved column.
     """
-    needed = [(name, getattr(table, name)) for name in cfg.columns() if name != "lab_result"]
-    # the first row missing a needed value, and its first missing column
-    missing = [(values.index(None), k) for k, (_, values) in enumerate(needed) if None in values]
-    if missing:
-        t, k = min(missing)
-        name = needed[k][0]
-        raise SchemaError(f"row {table.lines[t]}: {name} derivation enabled but {name} missing")
+    needed = [name for name in cfg.columns() if name != "lab_result"]
+    if missing := _first_missing(table, needed):
+        line, name = missing
+        raise SchemaError(f"row {line}: {name} derivation enabled but {name} missing")
 
     covers = dict.fromkeys(range(len(catalog)), 0)
     for name, bits in zip(table.symptom_columns, table.covers):

@@ -15,7 +15,16 @@ from rulemine import cli
 from rulemine.apriori import MiningConfig, mine_frequent
 from rulemine.cli import METRIC_KEYS, build_parser, emit_report, main
 from rulemine.core import ItemCatalog
-from rulemine.ingest import serialize_patient_csv
+from rulemine.features import item_frequencies
+from rulemine.ingest import (
+    CohortSelector,
+    DerivationConfig,
+    build_catalog,
+    derive_items,
+    filter_cohort,
+    parse_patient_csv,
+    serialize_patient_csv,
+)
 from rulemine.rules import Rule, RuleSet, generate_rules
 from rulemine.synth import CohortSpec, generate_cohort
 
@@ -470,15 +479,29 @@ class TestBadInputAndOutput:
 
     def test_derive_error_names_the_csv_line(self, capsys, tmp_path):
         path = tmp_path / "gap.csv"
-        path.write_text(
-            "age,sex,outcome,Fever\n30,M,recovered,1\n50,F,deceased,1\n,M,deceased,0\n"
-        )
-        for cohort in ("all", "deceased"):
-            rc, out, err = self._run(
-                capsys, ["mine", "--input", str(path), "--derive-age", "--cohort", cohort]
-            )
-            assert (rc, out) == (1, "")
-            assert err == "error: row 4: age derivation enabled but age missing\n"
+        for text in (
+            "age,sex,outcome,Fever\n30,M,recovered,1\n50,F,deceased,1\n,M,deceased,0\n",
+            # the first row's quoted id spans lines 2-3
+            'id,age,outcome,Fever\n"a\nb",50,deceased,1\nc,,deceased,0\n',
+        ):
+            path.write_text(text)
+            for cohort in ("all", "deceased"):
+                rc, out, err = self._run(
+                    capsys, ["mine", "--input", str(path), "--derive-age", "--cohort", cohort]
+                )
+                assert (rc, out) == (1, "")
+                assert err == "error: row 4: age derivation enabled but age missing\n"
+
+    def test_cohort_error_names_the_csv_line(self, capsys, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("age,outcome,Fever\n30,recovered,1\n50,,1\n,deceased,0\n")
+        for cohort, message in (
+            ("deceased", "row 3: deceased cohort filter needs outcome but outcome missing"),
+            ("recovered", "row 3: recovered cohort filter needs outcome but outcome missing"),
+            ("20-60", "row 4: age_range cohort filter needs age but age missing"),
+        ):
+            rc, out, err = self._run(capsys, ["mine", "--input", str(path), "--cohort", cohort])
+            assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_config_flag_with_equals_sign(capsys, cohort_csv, tmp_path):
@@ -580,3 +603,24 @@ def test_blank_outcome_is_not_deceased(capsys, tmp_path):
     assert "Rare" not in capsys.readouterr().out
     assert main(["verify", *argv]) == 0
     assert capsys.readouterr().out.startswith("OK: ")
+
+
+class TestCohortFlag:
+    def test_age_range_freq_matches_the_library(self, capsys, cohort_csv):
+        assert main(["freq", "--input", str(cohort_csv), "--cohort", "20-40"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        sel = CohortSelector("age_range", lo=20, hi=40)
+        table = filter_cohort(parse_patient_csv(cohort_csv.read_text()), sel)
+        assert list(table.age) == [30, 25, 35]  # 40 is outside the half-open range
+        catalog = build_catalog(table, DerivationConfig())
+        freq = item_frequencies(derive_items(table, DerivationConfig(), catalog))
+        assert header == ["item", "count", "fraction"]
+        assert sorted(rows) == sorted(
+            [catalog.name_of(i), str(count), repr(float(frac))]
+            for i, (count, frac) in freq.entries.items()
+        )
+
+    @pytest.mark.parametrize("value", ["40-20", "20-x", "20-"])
+    def test_bad_age_range_is_usage_error(self, capsys, cohort_csv, value):
+        err = _usage_error(capsys, ["freq", "--input", str(cohort_csv), "--cohort", value])
+        assert "argument --cohort:" in err and repr(value) in err

@@ -11,6 +11,7 @@ import csv
 import io
 from unittest.mock import patch
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -36,11 +37,15 @@ CHOICES = {"sex": ("M", "F"), "outcome": ("recovered", "deceased"), "lab_result"
 
 
 def rowwise_parse(text):
-    """(symptom columns, [(CSV line, PatientRecord)]), or ParseError."""
-    header, *body = csv.reader(io.StringIO(text, newline=""))
+    """(symptom columns, [(CSV line, PatientRecord)]), or ParseError; a
+    row's CSV line is the one it starts on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader)
     symptoms = [c for c in header if c not in RESERVED]
     rows = []
-    for lineno, cells in enumerate(body, start=2):
+    start = reader.line_num + 1
+    for cells in reader:
+        lineno, start = start, reader.line_num + 1
         if not cells:
             continue
         if len(cells) != len(header):
@@ -70,18 +75,20 @@ def rowwise_parse(text):
 
 
 def rowwise_filter(rows, sel):
-    def keep(r):
+    def keep(lineno, r):
         if sel.kind == "all":
             return True
         if sel.kind in ("deceased", "recovered"):
             if r.outcome is None:
-                raise SchemaError("cohort filter needs the outcome column")
+                raise SchemaError(
+                    f"row {lineno}: {sel.kind} cohort filter needs outcome but outcome missing"
+                )
             return r.outcome == sel.kind
         if r.age is None:
-            raise SchemaError("age_range cohort filter needs the age column")
+            raise SchemaError(f"row {lineno}: age_range cohort filter needs age but age missing")
         return sel.lo <= r.age < sel.hi
 
-    return [(lineno, r) for lineno, r in rows if keep(r)]
+    return [(lineno, r) for lineno, r in rows if keep(lineno, r)]
 
 
 def rowwise_derive(rows, cfg, catalog):
@@ -120,7 +127,8 @@ def outcome_of(call):
 # ---------------------------------------------------------------- strategies
 
 VALID = {
-    "id": st.sampled_from(["", "p1", "x,y"]),
+    # "a\r\nb" is quoted under every line end, so its row spans two lines
+    "id": st.sampled_from(["", "p1", "x,y", "a\r\nb"]),
     "age": st.sampled_from(["", "0", "19", "20", "39", "40", "59", "60", "95", "007"]),
     **{name: st.sampled_from(("", a, b)) for name, (a, b) in CHOICES.items()},
 }
@@ -192,6 +200,10 @@ def parsed(table):
 @example("age,f\n5,1\n6,2\n", 1, False)  # a bad cell in the second chunk
 @example("age,f,g\n5,011\n", 4096, False)  # a short row as long as a full one
 @example("age,f,g\n5,0,1,0\n6,1\n", 4096, False)  # a long row, then a short one
+@example('id,age,f\n"a\nb",5,1\nc,x,0\n', 4096, False)  # a bad cell after a row on lines 2-3
+@example('"a\nb",f\n1,0\n2,1\n', 4096, False)  # a bad cell after a header on lines 1-2
+@example("f,age,g,sex,h\n1,5,0,M,1\n0,6,1,F,2\n", 4096, False)  # a bad symptom after the reserved
+@example("f,age,g\n1,5,0\n2,6,1\n", 4096, False)  # a bad symptom before a reserved column
 def test_parse_matches_rowwise(text, chunk_rows, stream):
     source = io.StringIO(text, newline="") if stream else text
     with patch.object(ingest, "CHUNK_ROWS", chunk_rows):
@@ -206,6 +218,8 @@ def test_parse_matches_rowwise(text, chunk_rows, stream):
 @example("outcome,f\ndeceased,1\n", CohortSelector("deceased"))  # one row
 @example("age,outcome,f\n,deceased,1\n,recovered,0\n", CohortSelector("deceased"))  # age all None
 @example("age,f\n,1\n,0\n", CohortSelector("age_range", lo=0, hi=50))  # age all None
+@example("outcome,f\nrecovered,1\n\n,0\n", CohortSelector("deceased"))  # one blank outcome, line 4
+@example("age,f\n30,1\n,0\n", CohortSelector("age_range", lo=0, hi=50))  # one blank age, line 3
 def test_filter_cohort_matches_rowwise(text, sel):
     table = parse_patient_csv(text)
     got = outcome_of(lambda: parsed(filter_cohort(table, sel))[1])
@@ -280,9 +294,18 @@ def test_drop_sparse_matches_rowwise(case):
     assert kept.transactions() == expected
 
 
-def test_quote_free_chunks_skip_csv_reader():
-    """Three quote-free chunks under a reserved-first header: csv.reader
-    tokenises the header only, and no chunk is split cell by cell."""
+@pytest.mark.parametrize(
+    "header",
+    [
+        ["age", "sex", "outcome", "f", "g"],  # as synth writes it
+        ["f", "age", "g", "sex", "h", "i"],
+        ["f", "g", "age", "sex", "outcome"],
+    ],
+    ids=["reserved_first", "mixed", "reserved_last"],
+)
+def test_quote_free_chunks_skip_csv_reader(header):
+    """Three quote-free chunks: csv.reader tokenises the header only, and
+    no chunk is checked row by row."""
     real_reader = csv.reader
     rows_read = []
 
@@ -302,15 +325,19 @@ def test_quote_free_chunks_skip_csv_reader():
         def line_num(self):
             return self._reader.line_num
 
-    text = "age,sex,outcome,f,g\n" + "".join(
-        f"{20 + t},{'MF'[t % 2]},recovered,{t % 2},{t // 3 % 2}\n" for t in range(9)
+    def cell(name, t):
+        values = {"age": str(20 + t), "sex": "MF"[t % 2], "outcome": "recovered"}
+        return values.get(name, str((t + ord(name[0])) // 2 % 2))
+
+    text = ",".join(header) + "\n" + "".join(
+        ",".join(cell(name, t) for name in header) + "\n" for t in range(9)
     )
     with (
         patch.object(ingest, "CHUNK_ROWS", 3),
         patch.object(ingest.csv, "reader", CountingReader),
-        patch.object(ingest, "_record_chunk", wraps=ingest._record_chunk) as record_chunk,
+        patch.object(ingest, "_first_error", wraps=ingest._first_error) as first_error,
     ):
         got = parsed(parse_patient_csv(text))
-    assert rows_read == [["age", "sex", "outcome", "f", "g"]]
-    assert record_chunk.call_count == 0
+    assert rows_read == [header]
+    assert first_error.call_count == 0
     assert got == rowwise_parse(text)
