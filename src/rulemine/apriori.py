@@ -10,15 +10,16 @@ order, so every itemset comes out in canonical form.
 
 ``generate_candidates`` is Apriori's level-wise join and prune. The miner
 does not use it; it stays as the reference the tests and the bench's
-candidate counter use.
+candidate counter use. ``min_count`` is the one threshold predicate: it
+turns every threshold into the least integer count that passes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .core import Itemset, TransactionSet
 from .errors import ConfigError, InternalError, UndefinedSupportError
@@ -61,16 +62,21 @@ def exact(threshold: float | Fraction) -> Fraction:
     """A threshold as the exact decimal the caller wrote.
 
     Floats go through their shortest repr, so 0.1 is 1/10 and not its
-    nearest binary float; every threshold predicate compares against this.
+    nearest binary float.
     """
     if isinstance(threshold, float):
         return Fraction(str(threshold))
     return Fraction(threshold)
 
 
-def required_count(min_support: float, n: int) -> int:
-    """Smallest integer count satisfying count/n >= min_support, exactly."""
-    return math.ceil(exact(min_support) * n)
+def min_count(threshold: float | Fraction, strict: bool = False) -> Callable[[int], int]:
+    """total -> the least integer count whose ratio to total is >= threshold
+    (> threshold when ``strict``): for the exact threshold p/q, that is
+    ceil(p * total / q), or floor(p * total / q) + 1 when strict."""
+    p, q = exact(threshold).as_integer_ratio()
+    if strict:
+        return lambda total: p * total // q + 1
+    return lambda total: -(-p * total // q)
 
 
 def generate_candidates(frequent_prev: Iterable[Itemset]) -> set[Itemset]:
@@ -106,7 +112,7 @@ def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
     n = ts.n_transactions
     if n == 0:
         raise UndefinedSupportError("cannot mine an empty transaction set")
-    need = required_count(cfg.min_support, n)
+    need = min_count(cfg.min_support)(n)
     max_len = cfg.max_len or ts.n_items
 
     counts: dict[Itemset, int] = {}

@@ -261,13 +261,13 @@ def _write_output(args, text: str) -> None:
 def _cmd_freq(args) -> int:
     _, _, catalog, ts = _load_items(args)
     freq = item_frequencies(ts)
-    order = sorted(freq.entries, key=lambda i: (-freq.entries[i][1], i))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["item", "count", "fraction"])
-    for i in order:
-        count, frac = freq.entries[i]
-        writer.writerow([catalog.name_of(i), count, repr(float(frac))])
+    for i in freq.ranked():
+        count = freq.counts[i]
+        # int / int is correctly rounded: the float of the exact fraction
+        writer.writerow([catalog.name_of(i), count, repr(count / freq.n_transactions)])
     _write_output(args, buf.getvalue())
     return 0
 
@@ -306,9 +306,7 @@ def _run_pipeline(args):
         clinical = canonical_itemset(symptom_ids)
     else:
         selected = _select_pipeline(table, ts, catalog, args)
-        derived_ids = [
-            catalog.id_of(name) for name in cfg.derived_names() if name in catalog
-        ]
+        derived_ids = [catalog.id_of(name) for name in cfg.derived_names()]
         ts = project(ts, selected + derived_ids)
         clinical = canonical_itemset(selected)
 

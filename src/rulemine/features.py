@@ -1,24 +1,24 @@
-"""Per-item frequency computation and threshold-based feature selection."""
+"""Per-item integer counts and their ranking, feature selection, union and projection."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .apriori import exact
+from .apriori import min_count
 from .core import TransactionSet
 from .errors import ConfigError, UndefinedSupportError
 
 
 @dataclass
 class FrequencyMap:
-    """item id -> (count, exact fraction) over one TransactionSet."""
+    """item id -> count over one TransactionSet of n_transactions rows."""
 
-    entries: dict[int, tuple[int, Fraction]]
+    counts: dict[int, int]
     n_transactions: int
 
-    def fraction(self, item_id: int) -> Fraction:
-        return self.entries[item_id][1]
+    def ranked(self) -> list[int]:
+        """Item ids by descending count, ties broken by ascending id."""
+        return sorted(self.counts, key=lambda i: (-self.counts[i], i))
 
 
 def item_frequencies(ts: TransactionSet, rows: int | None = None) -> FrequencyMap:
@@ -31,11 +31,7 @@ def item_frequencies(ts: TransactionSet, rows: int | None = None) -> FrequencyMa
     n = rows.bit_count()
     if n == 0:
         raise UndefinedSupportError("frequencies are undefined over an empty transaction set")
-    entries = {}
-    for i in ts.item_ids():
-        count = (ts.cover_bits(i) & rows).bit_count()
-        entries[i] = (count, Fraction(count, n))
-    return FrequencyMap(entries, n)
+    return FrequencyMap({i: (ts.cover_bits(i) & rows).bit_count() for i in ts.item_ids()}, n)
 
 
 def select_features(freq: FrequencyMap, threshold: float) -> list[int]:
@@ -45,10 +41,8 @@ def select_features(freq: FrequencyMap, threshold: float) -> list[int]:
     """
     if not 0 <= threshold <= 1:
         raise ConfigError(f"feature threshold must be in [0,1], got {threshold}")
-    cut = exact(threshold)  # a frequency equal to the threshold is excluded
-    picked = [i for i, (_, frac) in freq.entries.items() if frac > cut]
-    picked.sort(key=lambda i: (-freq.entries[i][1], i))
-    return picked
+    need = min_count(threshold, strict=True)(freq.n_transactions)
+    return [i for i in freq.ranked() if freq.counts[i] >= need]
 
 
 def union_features(a: list[int], b: list[int]) -> list[int]:

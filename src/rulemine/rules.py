@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .apriori import FrequentItemsets, MiningConfig, exact
+from .apriori import FrequentItemsets, MiningConfig, min_count
 from .core import Itemset
 from .errors import InconsistentSupportError, InternalError, UndefinedMetricError
 
@@ -92,11 +92,12 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
 
     Y ranges over the non-empty proper subsets of Z, or is only
     target_consequent when one is set, and X = Z minus Y. The filters,
-    confidence >= min_confidence and lift strictly > min_lift, are
-    compared exactly on integer counts, and each rule keeps only its counts.
+    confidence >= min_confidence and lift strictly > min_lift, are decided
+    on integer counts by ``min_count``, and each rule keeps only its counts.
     """
     n = fi.n_transactions
-    conf, lift = exact(cfg.min_confidence), exact(cfg.min_lift)
+    conf_need = min_count(cfg.min_confidence)
+    lift_need = min_count(cfg.min_lift, strict=True)
     target = cfg.target_consequent
     kept = []
     for z, c_xy in fi.counts.items():
@@ -119,8 +120,7 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
                 raise InconsistentSupportError(
                     f"joint count {c_xy} exceeds a marginal ({c_x}, {c_y})"
                 )
-            if (c_xy * conf.denominator >= conf.numerator * c_x
-                    and c_xy * n * lift.denominator > lift.numerator * c_x * c_y):
+            if c_xy >= conf_need(c_x) and c_xy * n >= lift_need(c_x * c_y):
                 # support descending, then confidence descending: for equal
                 # joint counts the smaller antecedent count has more confidence
                 kept.append((-c_xy, c_x, x, y, c_y))

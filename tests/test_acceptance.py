@@ -169,13 +169,7 @@ def test_criterion_4_feature_selection_reproduction():
     }
     names = list(fractions)
     denom = 10_000
-    fmap = FrequencyMap(
-        {
-            i: (int(fractions[n] * denom), Fraction(int(fractions[n] * denom), denom))
-            for i, n in enumerate(names)
-        },
-        denom,
-    )
+    fmap = FrequencyMap({i: int(fractions[n] * denom) for i, n in enumerate(names)}, denom)
     picked = {names[i] for i in select_features(fmap, 0.15)}
     expected = {"apnea", "cough", "fever", "ventilator", "Ab_Chest_Xray", "CVD", "weakness"}
     if picked != expected:

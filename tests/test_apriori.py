@@ -1,6 +1,8 @@
 import random
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 from rulemine.apriori import (
     MiningConfig,
     generate_candidates,
+    min_count,
     mine_frequent,
-    required_count,
 )
 from rulemine.core import TransactionSet
 from rulemine.errors import ConfigError, InternalError, UndefinedSupportError
@@ -97,7 +99,26 @@ class TestRequiredCount:
          (0.0, 10, 0), (1.0, 7, 7), (0.26, 10, 3), (0.1000000000001, 10, 2)],
     )
     def test_boundary_exactness(self, min_support, n, expected):
-        assert required_count(min_support, n) == expected
+        assert min_count(min_support)(n) == expected
+
+    @given(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, Fraction(0), Fraction(1)]),
+            st.floats(0, 1),
+            st.decimals(0, 1, places=8).map(Fraction),
+        ),
+        st.booleans(),
+        st.integers(0, 10**9),
+    )
+    def test_least_count_passing_the_exact_comparison(self, threshold, strict, total):
+        # a float means the decimal of its shortest repr
+        t = Fraction(Decimal(repr(threshold))) if isinstance(threshold, float) else threshold
+
+        def passes(count):
+            return count > t * total if strict else count >= t * total
+
+        need = min_count(threshold, strict)(total)
+        assert passes(need) and not passes(need - 1)
 
 
 class TestConfigValidation:

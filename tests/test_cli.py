@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulemine import cli
-from rulemine.apriori import MiningConfig, mine_frequent
+from rulemine.apriori import MiningConfig, min_count, mine_frequent
 from rulemine.cli import METRIC_KEYS, build_parser, emit_report, main
 from rulemine.core import ItemCatalog
 from rulemine.features import item_frequencies
@@ -298,6 +298,30 @@ class TestVerifyPipeline:
         )
         rc = main(["verify", "--input", str(synth_csv), *PAPER_DEATH_FLAGS,
                    "--min-symptoms", "2", "--max-len", "3"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert "MISMATCH" in err
+
+    @pytest.mark.parametrize("target,defect,groups,flags", [
+        # lift exactly --min-lift is dropped; a lift need that ignores strict keeps it
+        ("rulemine.rules.min_count", lambda t, strict=False: min_count(t),
+         [("1,1", 17), ("1,0", 3), ("0,1", 33), ("0,0", 47)],
+         ["--min-support", "0.1", "--min-lift", "1.7"]),
+        # support exactly --min-support is kept; a strict support need drops it
+        ("rulemine.apriori.min_count", lambda t, strict=False: min_count(t, strict=True),
+         [("1,1", 3), ("1,0", 1), ("0,0", 6)],
+         ["--min-support", "0.3", "--min-lift", "0"]),
+    ])
+    def test_catches_a_wrong_threshold_predicate(
+        self, capsys, monkeypatch, tmp_path, target, defect, groups, flags
+    ):
+        path = tmp_path / "boundary.csv"
+        path.write_text("a,b\n" + "".join(f"{row}\n" * k for row, k in groups))
+        argv = ["verify", "--input", str(path), "--no-select", *flags]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("OK: ")
+        monkeypatch.setattr(target, defect)
+        rc = main(argv)
         out, err = capsys.readouterr()
         assert (rc, out) == (1, "")
         assert "MISMATCH" in err
@@ -616,8 +640,8 @@ class TestCohortFlag:
         freq = item_frequencies(derive_items(table, DerivationConfig(), catalog))
         assert header == ["item", "count", "fraction"]
         assert sorted(rows) == sorted(
-            [catalog.name_of(i), str(count), repr(float(frac))]
-            for i, (count, frac) in freq.entries.items()
+            [catalog.name_of(i), str(count), repr(float(Fraction(count, freq.n_transactions)))]
+            for i, count in freq.counts.items()
         )
 
     @pytest.mark.parametrize("value", ["40-20", "20-x", "20-"])

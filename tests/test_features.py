@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,23 +17,19 @@ from conftest import transaction_sets
 
 def _freq_map(fractions):
     # fixture map over denominator 2000 so every value is exact
-    entries = {
-        i: (int(f * 2000), Fraction(int(f * 2000), 2000))
-        for i, f in enumerate(fractions)
-    }
-    return FrequencyMap(entries, 2000)
+    return FrequencyMap({i: int(f * 2000) for i, f in enumerate(fractions)}, 2000)
 
 
 class TestItemFrequencies:
     def test_matches_single_item_support(self):
         ts = TransactionSet.from_transactions([{0, 1}, {0}, {1, 2}], item_ids=range(4))
         freq = item_frequencies(ts)
-        assert freq.entries[0] == (2, Fraction(2, 3))
-        assert freq.entries[3] == (0, Fraction(0))  # zero-frequency item present
+        assert (freq.counts[0], freq.n_transactions) == (2, 3)
+        assert freq.counts[3] == 0  # zero-frequency item present
 
     def test_full_cover(self):
         ts = TransactionSet.from_transactions([{0}], item_ids=[0])
-        assert item_frequencies(ts).fraction(0) == 1
+        assert item_frequencies(ts) == FrequencyMap({0: 1}, 1)
 
     def test_empty_raises(self):
         ts = TransactionSet.from_transactions([], item_ids=[0])
@@ -45,7 +39,11 @@ class TestItemFrequencies:
     def test_paper_scale(self):
         rows = [{0} if t < 2070 else set() for t in range(2875)]
         ts = TransactionSet.from_transactions(rows, item_ids=[0])
-        assert float(item_frequencies(ts).fraction(0)) == pytest.approx(0.72)
+        freq = item_frequencies(ts)
+        assert freq.counts[0] / freq.n_transactions == pytest.approx(0.72)
+
+    def test_ranked_by_descending_count_then_id(self):
+        assert FrequencyMap({3: 1, 0: 2, 2: 5, 1: 2}, 6).ranked() == [2, 0, 1, 3]
 
 
 class TestSelectFeatures:
@@ -131,4 +129,4 @@ class TestProject:
         before = item_frequencies(ts)
         after = item_frequencies(project(ts, keep)) if keep else None
         for i in keep:
-            assert after.entries[i] == before.entries[i]
+            assert after.counts[i] == before.counts[i]
