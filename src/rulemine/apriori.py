@@ -18,38 +18,44 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Itemset, TransactionSet
+from .core import Itemset, Record, TransactionSet
 from .errors import ConfigError, InternalError, UndefinedSupportError
 
 
-@dataclass
-class MiningConfig:
-    min_support: float = 0.001
-    min_confidence: float = 0.0
-    min_lift: float = 0.0
-    max_len: int | None = None
-    target_consequent: Itemset | None = None
+class MiningConfig(Record):
+    """The thresholds of one mining run, checked when it is built."""
 
-    def __post_init__(self):
-        if not 0 <= self.min_support <= 1:
-            raise ConfigError(f"min_support must be in [0,1], got {self.min_support}")
-        if not 0 <= self.min_confidence <= 1:
-            raise ConfigError(f"min_confidence must be in [0,1], got {self.min_confidence}")
-        if not 0 <= self.min_lift < math.inf:
-            raise ConfigError(f"min_lift must be finite and >= 0, got {self.min_lift}")
-        if self.max_len is not None and self.max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
+    def __init__(
+        self,
+        min_support: float | Fraction = 0.001,
+        min_confidence: float | Fraction = 0.0,
+        min_lift: float | Fraction = 0.0,
+        max_len: int | None = None,
+        target_consequent: Itemset | None = None,
+    ):
+        if not 0 <= min_support <= 1:
+            raise ConfigError(f"min_support must be in [0,1], got {min_support}")
+        if not 0 <= min_confidence <= 1:
+            raise ConfigError(f"min_confidence must be in [0,1], got {min_confidence}")
+        if not 0 <= min_lift < math.inf:
+            raise ConfigError(f"min_lift must be finite and >= 0, got {min_lift}")
+        if max_len is not None and max_len < 1:
+            raise ConfigError(f"max_len must be >= 1, got {max_len}")
+        self.min_support = min_support
+        self.min_confidence = min_confidence
+        self.min_lift = min_lift
+        self.max_len = max_len
+        self.target_consequent = target_consequent
 
 
-@dataclass
-class FrequentItemsets:
+class FrequentItemsets(Record):
     """All frequent itemsets with exact counts, keyed by canonical tuple."""
 
-    counts: dict[Itemset, int]
-    n_transactions: int
+    def __init__(self, counts: dict[Itemset, int], n_transactions: int):
+        self.counts = counts
+        self.n_transactions = n_transactions
 
     def level(self, k: int) -> dict[Itemset, int]:
         return {s: c for s, c in self.counts.items() if len(s) == k}

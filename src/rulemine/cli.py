@@ -2,6 +2,9 @@
 
 Reports go to stdout (or ``--output``); diagnostics go to stderr only.
 Exit codes: 0 success, 1 data error, 2 usage error.
+
+``oracle``, ``synth`` and ``json`` are imported inside the command or
+branch that uses them, so ``mine``'s start-up loads none of them.
 """
 
 from __future__ import annotations
@@ -9,12 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 from fractions import Fraction
 
-from . import oracle
 from .apriori import MiningConfig, mine_frequent
 from .core import ItemCatalog, canonical_itemset
 from .errors import RuleMineError
@@ -31,7 +32,6 @@ from .ingest import (
     value_rows,
 )
 from .rules import RuleSet, generate_rules
-from .synth import CohortSpec, generate_cohort
 
 REPORT_COLUMNS = (
     "Antecedents",
@@ -69,6 +69,8 @@ def emit_report(rs: RuleSet, catalog: ItemCatalog, fmt: str) -> str:
         return a / n, b / n, c / n, c / a, c * n / (a * b), (c * n - a * b) / (n * n)
 
     if fmt == "json":
+        import json
+
         out = [{
             "antecedent": [catalog.name_of(i) for i in r.antecedent],
             "consequent": [catalog.name_of(i) for i in r.consequent],
@@ -160,6 +162,15 @@ def _fields_arg(sep: str, metavar: str, last):
 
 def _age_weights_arg(s: str) -> list[tuple[str, float]]:
     return list(map(_fields_arg("=", "BUCKET=W", _number_arg(float, 0)), s.split(",")))
+
+
+def _names_arg(s: str) -> str:
+    """Comma-separated item names, each stripped and non-empty, joined back
+    with commas: the text ``perfbench/tracing.py`` splits as well."""
+    names = [name.strip() for name in s.split(",")]
+    if not all(names):
+        raise argparse.ArgumentTypeError(f"an item name is empty: {s!r}")
+    return ",".join(names)
 
 
 def _cohort_arg(s: str) -> CohortSelector:
@@ -315,9 +326,7 @@ def _run_pipeline(args):
 
     target = None
     if args.target_consequent:
-        target = canonical_itemset(
-            catalog.id_of(name.strip()) for name in args.target_consequent.split(",")
-        )
+        target = canonical_itemset(map(catalog.id_of, args.target_consequent.split(",")))
     return catalog, ts, MiningConfig(
         min_support=args.min_support,
         min_confidence=args.min_confidence,
@@ -335,22 +344,25 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import CohortSpec, generate_cohort
+
     spec = CohortSpec(
         n=args.n,
         marginals=dict(args.marginal),
         mortality=args.mortality,
         male_fraction=args.male_fraction,
+        age_weights=args.age_weights,
         planted_pairs=args.planted,
         seed=args.seed,
     )
-    if args.age_weights:
-        spec.age_weights = args.age_weights
     table = generate_cohort(spec)
     _write_output(args, serialize_patient_csv(table))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+
     _, ts, mcfg = _run_pipeline(args)
     fi = mine_frequent(ts, mcfg)
     if fi.counts != oracle.brute_frequent(ts, mcfg.min_support, mcfg.max_len).counts:
@@ -399,8 +411,8 @@ def _add_pipeline(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-confidence", type=_threshold_arg, default="0.0")
     p.add_argument("--min-lift", type=_number_arg(_decimal, 0), default="1.0")
     p.add_argument("--max-len", type=_number_arg(int, 1), default=None)
-    p.add_argument("--target-consequent", default=None,
-                   help="comma-separated item names the consequent must equal")
+    p.add_argument("--target-consequent", type=_names_arg, default=None, metavar="NAME,...",
+                   help="item names the consequent must equal")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

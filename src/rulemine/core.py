@@ -7,17 +7,40 @@ per item, bit t set when transaction t contains the item, so itemset
 support is a chain of ``&`` plus ``bit_count()``. Converting a bitset to
 and from one '0'/'1' byte per row (``format``, ``int(..., 2)``,
 ``int.from_bytes``) is how rows are selected and dropped in linear time.
+``Record`` is the base of the package's plain config and result classes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidItemError, UndefinedSupportError
 
 Itemset = tuple[int, ...]
+
+
+class Record:
+    """A plain class compared and shown by its instance attributes.
+
+    Two instances of one class are ``==`` when their attributes are,
+    bar the names in ``_uncompared``, which the repr leaves out too.
+    """
+
+    _uncompared: frozenset[str] = frozenset()
+
+    def _fields(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k not in self._uncompared}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__name__}({fields})"
 
 
 class ItemCatalog:

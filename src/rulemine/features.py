@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .apriori import min_count
-from .core import TransactionSet
+from .core import Record, TransactionSet
 from .errors import ConfigError, UndefinedSupportError
 
 
-@dataclass
-class FrequencyMap:
+class FrequencyMap(Record):
     """item id -> count over one TransactionSet of n_transactions rows."""
 
-    counts: dict[int, int]
-    n_transactions: int
+    def __init__(self, counts: dict[int, int], n_transactions: int):
+        self.counts = counts
+        self.n_transactions = n_transactions
 
     def ranked(self) -> list[int]:
         """Item ids by descending count, ties broken by ascending id."""

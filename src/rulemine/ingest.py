@@ -22,13 +22,14 @@ from __future__ import annotations
 import csv
 import io
 from array import array
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 
 from .core import (
     ItemCatalog,
     Itemset,
+    Record,
     TransactionSet,
     bits_to_flags,
     flags_to_bits,
@@ -52,17 +53,11 @@ _ITEMS = {
 CHUNK_ROWS = 4096  # CSV rows transposed into columns at a time
 
 
-@dataclass
-class PatientRecord:
-    age: int | None
-    sex: str | None
-    outcome: str | None
-    lab_result: str | None
-    symptoms: dict[str, int]
+# one row of a PatientTable, built on access by PatientTable.rows
+PatientRecord = namedtuple("PatientRecord", "age sex outcome lab_result symptoms")
 
 
-@dataclass
-class PatientTable:
+class PatientTable(Record):
     """Columnar patient table.
 
     ``covers[j]`` is the row bitset of ``symptom_columns[j]`` (bit t set
@@ -70,20 +65,28 @@ class PatientTable:
     ``lab_result`` hold one value per row, None where the cell is empty or
     the column absent. ``lines`` gives each row's CSV line for error
     messages; by default row t is line t + 2, as ``serialize_patient_csv``
-    writes it.
+    writes it. Tables equal but for ``lines`` are ``==``.
     """
 
-    symptom_columns: list[str]
-    covers: list[int]
-    age: list[int | None]
-    sex: list[str | None]
-    outcome: list[str | None]
-    lab_result: list[str | None]
-    lines: Sequence[int] | None = field(default=None, compare=False, repr=False)
+    _uncompared = frozenset({"lines"})
 
-    def __post_init__(self):
-        if self.lines is None:
-            self.lines = range(2, len(self.age) + 2)
+    def __init__(
+        self,
+        symptom_columns: list[str],
+        covers: list[int],
+        age: list[int | None],
+        sex: list[str | None],
+        outcome: list[str | None],
+        lab_result: list[str | None],
+        lines: Sequence[int] | None = None,
+    ):
+        self.symptom_columns = symptom_columns
+        self.covers = covers
+        self.age = age
+        self.sex = sex
+        self.outcome = outcome
+        self.lab_result = lab_result
+        self.lines = range(2, len(age) + 2) if lines is None else lines
 
     def __len__(self) -> int:
         return len(self.age)
@@ -110,12 +113,20 @@ class _RowView(Sequence):
         return PatientRecord(t.age[k], t.sex[k], t.outcome[k], t.lab_result[k], symptoms)
 
 
-@dataclass
-class DerivationConfig:
-    age_buckets_enabled: bool = False
-    include_sex: bool = False
-    include_outcome: bool = False
-    include_lab: bool = False
+class DerivationConfig(Record):
+    """Which reserved columns become derived items."""
+
+    def __init__(
+        self,
+        age_buckets_enabled: bool = False,
+        include_sex: bool = False,
+        include_outcome: bool = False,
+        include_lab: bool = False,
+    ):
+        self.age_buckets_enabled = age_buckets_enabled
+        self.include_sex = include_sex
+        self.include_outcome = include_outcome
+        self.include_lab = include_lab
 
     def columns(self) -> list[str]:
         """The reserved columns whose derived items are enabled."""
@@ -126,18 +137,18 @@ class DerivationConfig:
         return [item for column in self.columns() for item in _ITEMS[column].values()]
 
 
-@dataclass
-class CohortSelector:
-    kind: str  # all | deceased | recovered | age_range
-    lo: int | None = None
-    hi: int | None = None
+class CohortSelector(Record):
+    """The rows one cohort keeps: all, deceased, recovered, or ages in [lo, hi)."""
 
-    def __post_init__(self):
-        if self.kind not in ("all", "deceased", "recovered", "age_range"):
-            raise ConfigError(f"unknown cohort selector: {self.kind!r}")
-        if self.kind == "age_range":
-            if self.lo is None or self.hi is None or not self.lo < self.hi:
+    def __init__(self, kind: str, lo: int | None = None, hi: int | None = None):
+        if kind not in ("all", "deceased", "recovered", "age_range"):
+            raise ConfigError(f"unknown cohort selector: {kind!r}")
+        if kind == "age_range":
+            if lo is None or hi is None or not lo < hi:
                 raise ConfigError("age_range needs lo < hi")
+        self.kind = kind
+        self.lo = lo
+        self.hi = hi
 
 
 def age_bucket(age: int) -> str:

@@ -14,42 +14,33 @@ accepted for reconstructing metrics from published (rounded) tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
 from .apriori import FrequentItemsets, MiningConfig, min_count
-from .core import Itemset
+from .core import Record
 from .errors import InconsistentSupportError, InternalError, UndefinedMetricError
 
 Number = float | Fraction
 
 
-@dataclass(frozen=True)
-class MetricSet:
-    antecedent_support: Number
-    consequent_support: Number
-    support: Number
-    confidence: Number
-    lift: Number
-    leverage: Number
+MetricSet = namedtuple(
+    "MetricSet",
+    "antecedent_support consequent_support support confidence lift leverage",
+)
+
+# X => Y with the counts of X∪Y, X and Y among the RuleSet's rows. The
+# field ``count`` shadows ``tuple.count``; a Rule is never searched for a value.
+Rule = namedtuple("Rule", "antecedent consequent count antecedent_count consequent_count")
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
-    """X => Y with the counts of X∪Y, X and Y among the RuleSet's rows."""
+class RuleSet(Record):
+    """Ranked rules and the row count n their counts are taken over."""
 
-    antecedent: Itemset
-    consequent: Itemset
-    count: int
-    antecedent_count: int
-    consequent_count: int
-
-
-@dataclass
-class RuleSet:
-    rules: list[Rule]
-    n_transactions: int
+    def __init__(self, rules: list[Rule], n_transactions: int):
+        self.rules = rules
+        self.n_transactions = n_transactions
 
     def __len__(self) -> int:
         return len(self.rules)

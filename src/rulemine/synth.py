@@ -9,26 +9,39 @@ byte-identical CSV output on every platform.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
-from .core import flags_to_bits
+from .core import Record, flags_to_bits
 from .errors import ConfigError
 from .ingest import AGE_BUCKETS, PatientTable
 
 _BUCKET_RANGES = {"<20": (0, 19), "20-40": (20, 39), "40-60": (40, 59), ">60": (60, 100)}
 
 
-@dataclass
-class CohortSpec:
-    n: int
-    marginals: dict[str, float]
-    mortality: float = 0.24
-    male_fraction: float = 0.59
-    age_weights: list[tuple[str, float]] = field(
-        default_factory=lambda: [("<20", 0.1), ("20-40", 0.25), ("40-60", 0.3), (">60", 0.35)]
-    )
-    planted_pairs: list[tuple[str, str, float]] = field(default_factory=list)
-    seed: int = 0
+class CohortSpec(Record):
+    """The distributions of a synthetic cohort; ``generate_cohort`` checks them.
+
+    ``age_weights`` defaults to 10/25/30/35% over the four age buckets.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        marginals: dict[str, float],
+        mortality: float = 0.24,
+        male_fraction: float = 0.59,
+        age_weights: list[tuple[str, float]] | None = None,
+        planted_pairs: list[tuple[str, str, float]] | None = None,
+        seed: int = 0,
+    ):
+        self.n = n
+        self.marginals = marginals
+        self.mortality = mortality
+        self.male_fraction = male_fraction
+        if age_weights is None:
+            age_weights = [("<20", 0.1), ("20-40", 0.25), ("40-60", 0.3), (">60", 0.35)]
+        self.age_weights = age_weights
+        self.planted_pairs = [] if planted_pairs is None else planted_pairs
+        self.seed = seed
 
 
 def _validate(spec: CohortSpec) -> None:

@@ -139,6 +139,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             MiningConfig(max_len=0)
 
+    def test_rebuilt_config_is_checked(self):
+        cfg = MiningConfig(min_support=0.5, max_len=2)
+        assert MiningConfig(**vars(cfg)) == cfg
+        with pytest.raises(ConfigError):
+            MiningConfig(**(vars(cfg) | {"min_support": 2}))
+
 
 ONE_ITEM = TransactionSet.from_transactions([{0}, set(), {0}], item_ids=[0])
 NOTHING_FREQUENT = TransactionSet.from_transactions([{0}, {1}, {2}, set()], item_ids=range(3))

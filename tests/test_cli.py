@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -294,7 +293,7 @@ class TestVerifyPipeline:
         real = cli.mine_frequent
         monkeypatch.setattr(
             cli, "mine_frequent",
-            lambda ts, cfg: real(ts, dataclasses.replace(cfg, max_len=None)),
+            lambda ts, cfg: real(ts, MiningConfig(**(vars(cfg) | {"max_len": None}))),
         )
         rc = main(["verify", "--input", str(synth_csv), *PAPER_DEATH_FLAGS,
                    "--min-symptoms", "2", "--max-len", "3"])
@@ -566,6 +565,16 @@ class TestFlagValues:
         err = _usage_error(capsys, ["mine", "--input", str(cohort_csv), flag, value])
         assert f"argument {flag}:" in err
 
+    @pytest.mark.parametrize("value", ["", "Death,", " ,Death"])
+    def test_empty_target_name_is_usage_error(self, capsys, cohort_csv, tmp_path, value):
+        argv = ["mine", "--input", str(cohort_csv), "--derive-outcome"]
+        err = _usage_error(capsys, [*argv, "--target-consequent", value])
+        assert "argument --target-consequent:" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"target_consequent={value}\n")
+        err = _usage_error(capsys, [*argv, "--config", str(cfg)])
+        assert f"{cfg}:1:" in err
+
     def test_synth_types_build_the_spec(self, capsys):
         argv = ["synth", "--n", "30", "--seed", "2", "--marginal", "a=0.4", "--marginal",
                 "b=0.5", "--planted", "a,b,0.3", "--age-weights", "<20=0.5,>60=0.5"]
@@ -598,7 +607,7 @@ class TestFlagValues:
 
 
 # options whose value is free text, used as given
-FREE_TEXT = {"--input", "--output", "--config", "--target-consequent"}
+FREE_TEXT = {"--input", "--output", "--config"}
 
 
 def test_every_flag_value_is_parsed_by_argparse():

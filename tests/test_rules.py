@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -106,5 +105,5 @@ def test_target_consequent_equals_filtered_untargeted(ts, min_support, min_confi
     fi = mine_frequent(ts, cfg)
     untargeted = generate_rules(fi, cfg)
     for target in fi.counts:
-        targeted = generate_rules(fi, replace(cfg, target_consequent=target))
+        targeted = generate_rules(fi, MiningConfig(**(vars(cfg) | {"target_consequent": target})))
         assert targeted.rules == [r for r in untargeted if r.consequent == target]
