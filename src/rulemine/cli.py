@@ -10,11 +10,10 @@ branch that uses them, so ``mine``'s start-up loads none of them.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .apriori import MiningConfig, mine_frequent
 from .core import ItemCatalog, canonical_itemset
@@ -24,6 +23,7 @@ from .ingest import (
     CohortSelector,
     DerivationConfig,
     build_catalog,
+    csv_text,
     derive_items,
     drop_sparse_patients,
     filter_cohort,
@@ -31,7 +31,7 @@ from .ingest import (
     serialize_patient_csv,
     value_rows,
 )
-from .rules import RuleSet, generate_rules
+from .rules import MetricSet, RuleSet, generate_rules
 
 REPORT_COLUMNS = (
     "Antecedents",
@@ -44,9 +44,7 @@ REPORT_COLUMNS = (
     "Leverage",
 )
 # the json names of the six metric columns, in report order
-METRIC_KEYS = (
-    "antecedent_support", "consequent_support", "support", "confidence", "lift", "leverage",
-)
+METRIC_KEYS = MetricSet._fields
 
 
 # ---------------------------------------------------------------- reporting
@@ -88,18 +86,14 @@ def emit_report(rs: RuleSet, catalog: ItemCatalog, fmt: str) -> str:
                 *(f"{v:.4f}" for v in floats(r))]
 
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for r in rs.rules:
-            writer.writerow(row_cells(r))
-        return buf.getvalue()
+        return csv_text(chain([REPORT_COLUMNS], map(row_cells, rs.rules)))
 
     if fmt == "md":
         lines = ["| " + " | ".join(REPORT_COLUMNS) + " |"]
         lines.append("|" + "|".join([" --- "] * len(REPORT_COLUMNS)) + "|")
         for r in rs.rules:
-            lines.append("| " + " | ".join(row_cells(r)) + " |")
+            # a "|" in an item name is escaped, so it does not split the cell
+            lines.append("| " + " | ".join(c.replace("|", r"\|") for c in row_cells(r)) + " |")
         return "\n".join(lines) + "\n"
 
     raise RuleMineError(f"unknown report format: {fmt}")
@@ -272,14 +266,10 @@ def _write_output(args, text: str) -> None:
 def _cmd_freq(args) -> int:
     _, _, catalog, ts = _load_items(args)
     freq = item_frequencies(ts)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["item", "count", "fraction"])
-    for i in freq.ranked():
-        count = freq.counts[i]
-        # int / int is correctly rounded: the float of the exact fraction
-        writer.writerow([catalog.name_of(i), count, repr(count / freq.n_transactions)])
-    _write_output(args, buf.getvalue())
+    n, counts = freq.n_transactions, freq.counts
+    # int / int is correctly rounded: the float of the exact fraction
+    rows = [(catalog.name_of(i), counts[i], repr(counts[i] / n)) for i in freq.ranked()]
+    _write_output(args, csv_text([("item", "count", "fraction"), *rows]))
     return 0
 
 
@@ -292,9 +282,9 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _select_pipeline(table, ts, catalog, args):
+def _select_pipeline(table, ts, symptom_ids, args):
     """Dual-threshold feature selection over the all/deceased cohorts."""
-    symptoms = project(ts, [catalog.id_of(c) for c in table.symptom_columns])
+    symptoms = project(ts, symptom_ids)
     selected = select_features(item_frequencies(symptoms), args.feature_threshold)
     # the deceased leg counts the rows whose outcome is deceased; a blank is not
     deceased = value_rows(table.outcome).get("deceased", 0)
@@ -316,7 +306,7 @@ def _run_pipeline(args):
     if args.no_select:
         clinical = canonical_itemset(symptom_ids)
     else:
-        selected = _select_pipeline(table, ts, catalog, args)
+        selected = _select_pipeline(table, ts, symptom_ids, args)
         derived_ids = [catalog.id_of(name) for name in cfg.derived_names()]
         ts = project(ts, selected + derived_ids)
         clinical = canonical_itemset(selected)

@@ -12,11 +12,11 @@ and from one '0'/'1' byte per row (``format``, ``int(..., 2)``,
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
 
-from .errors import InvalidItemError, UndefinedSupportError
+from .errors import ConfigError, InvalidItemError, UndefinedSupportError
 
 Itemset = tuple[int, ...]
 
@@ -88,18 +88,10 @@ def flags_to_bits(flags: str | bytes) -> int:
 _SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def row_selector(keep: int, n: int) -> bytes:
-    """One byte per row, row n-1 first: 1 where ``keep`` has the row, else 0.
-
-    The selector ``compress`` takes to pick rows out of a ``format(bits,
-    f"0{n}b")`` string, which also lists row n-1 first.
-    """
-    return format(keep, f"0{n}b").encode().translate(_SELECT) if n else b""
-
-
-def row_indices(bits: int, n: int) -> Iterator[int]:
-    """The rows set in ``bits``, highest first."""
-    return compress(range(n - 1, -1, -1), row_selector(bits, n))
+def row_mask(bits: int, n: int) -> bytes:
+    """One byte per row, row 0 first: 1 where ``bits`` has the row, else 0;
+    ``compress`` takes it to pick those rows out of a per-row sequence."""
+    return bits_to_flags(bits, n).encode().translate(_SELECT)
 
 
 _DROP = bytes.maketrans(b"01", b"\x40\x00")
@@ -141,7 +133,7 @@ class TransactionSet:
 
     def __init__(self, n_transactions: int, covers: Mapping[int, int]):
         if n_transactions < 0:
-            raise ValueError("n_transactions must be >= 0")
+            raise ConfigError("n_transactions must be >= 0")
         full = (1 << n_transactions) - 1
         for item_id, bits in covers.items():
             if bits & ~full:
@@ -199,7 +191,7 @@ class TransactionSet:
         """Horizontal view: one frozenset of item ids per transaction."""
         rows: list[set[int]] = [set() for _ in range(self._n)]
         for item_id, bits in self._covers.items():
-            for t in row_indices(bits, self._n):
+            for t in compress(range(self._n), row_mask(bits, self._n)):
                 rows[t].add(item_id)
         return [frozenset(r) for r in rows]
 
@@ -216,7 +208,8 @@ def cover_bits_of(ts: TransactionSet, s: Itemset) -> int:
 
 def cover_of(ts: TransactionSet, s: Itemset) -> set[int]:
     """Set of transaction indices containing every item of s."""
-    return set(row_indices(cover_bits_of(ts, s), ts.n_transactions))
+    n = ts.n_transactions
+    return set(compress(range(n), row_mask(cover_bits_of(ts, s), n)))
 
 
 def support_of(ts: TransactionSet, s: Itemset) -> Fraction:

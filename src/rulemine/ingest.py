@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from array import array
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -34,13 +35,14 @@ from .core import (
     bits_to_flags,
     flags_to_bits,
     row_compactor,
-    row_selector,
+    row_mask,
 )
 from .errors import ConfigError, InternalError, ParseError, RuleMineError, SchemaError
 
 RESERVED_COLUMNS = ("id", "age", "sex", "outcome", "lab_result")
 
-AGE_BUCKETS = ("<20", "20-40", "40-60", ">60")
+# age bucket -> its half-open range [lo, hi) of ages, in catalog order
+AGE_BUCKETS = {"<20": (0, 20), "20-40": (20, 40), "40-60": (40, 60), ">60": (60, math.inf)}
 # reserved column -> {cell value: the derived item it sets}, in catalog order;
 # an age's value is its bucket
 _ITEMS = {
@@ -152,14 +154,8 @@ class CohortSelector(Record):
 
 
 def age_bucket(age: int) -> str:
-    """Half-open buckets: [0,20), [20,40), [40,60), [60,inf)."""
-    if age < 20:
-        return "<20"
-    if age < 40:
-        return "20-40"
-    if age < 60:
-        return "40-60"
-    return ">60"
+    """The first of AGE_BUCKETS whose range ends above ``age``."""
+    return next(bucket for bucket, (_, hi) in AGE_BUCKETS.items() if age < hi)
 
 
 def _age_cell(v: str) -> int | None:
@@ -365,10 +361,13 @@ def serialize_patient_csv(table: PatientTable) -> str:
     header.extend(table.symptom_columns)
     columns.extend(bits_to_flags(c, len(table)) for c in table.covers)
 
+    return csv_text(chain([header], zip(*columns)))
+
+
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """``rows`` as CSV text, each line ended by LF."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -421,12 +420,12 @@ def filter_cohort(table: PatientTable, sel: CohortSelector) -> PatientTable:
     n = len(table)
     keep = cohort_mask(table, sel)
     compact = row_compactor(keep, n)
-    in_row_order = row_selector(keep, n)[::-1]
+    mask = row_mask(keep, n)
     return PatientTable(
         list(table.symptom_columns),
         list(map(compact, table.covers)),
-        *(list(compress(getattr(table, name), in_row_order)) for name in _CELLS),
-        lines=array("q", compress(table.lines, in_row_order)),
+        *(list(compress(getattr(table, name), mask)) for name in _CELLS),
+        lines=array("q", compress(table.lines, mask)),
     )
 
 

@@ -9,12 +9,11 @@ byte-identical CSV output on every platform.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from .core import Record, flags_to_bits
 from .errors import ConfigError
 from .ingest import AGE_BUCKETS, PatientTable
-
-_BUCKET_RANGES = {"<20": (0, 19), "20-40": (20, 39), "40-60": (40, 59), ">60": (60, 100)}
 
 
 class CohortSpec(Record):
@@ -97,50 +96,31 @@ def generate_cohort(spec: CohortSpec) -> PatientTable:
     _validate(spec)
     n = spec.n
     symptom_columns = list(spec.marginals)
-    planted = {}
-    for a, b, joint in spec.planted_pairs:
-        planted[a] = (a, b, joint)
-        planted[b] = (a, b, joint)
 
     columns: dict[str, str] = {}  # '0'/'1' flags per symptom, row 0 first
-    done = set()
+    for a, b, joint in spec.planted_pairs:
+        p_a, p_b = spec.marginals[a], spec.marginals[b]
+        # 2x2 joint from one uniform per row: P(11)=joint, P(10)=p_a-joint, P(01)=p_b-joint
+        rng = _stream(spec, f"pair:{a}+{b}")
+        us = [rng.random() for _ in range(n)]
+        columns[a] = "".join(["1" if u < joint or u < p_a else "0" for u in us])
+        columns[b] = "".join(
+            ["1" if u < joint or p_a <= u < p_a + p_b - joint else "0" for u in us]
+        )
     for name in symptom_columns:
-        if name in done:
-            continue
-        if name in planted:
-            a, b, joint = planted[name]
-            p_a, p_b = spec.marginals[a], spec.marginals[b]
-            # 2x2 joint: P(11)=joint, P(10)=p_a-joint, P(01)=p_b-joint
-            rng = _stream(spec, f"pair:{a}+{b}")
-            col_a, col_b = [], []
-            for _ in range(n):
-                u = rng.random()
-                if u < joint:
-                    va, vb = "1", "1"
-                elif u < p_a:
-                    va, vb = "1", "0"
-                elif u < p_a + p_b - joint:
-                    va, vb = "0", "1"
-                else:
-                    va, vb = "0", "0"
-                col_a.append(va)
-                col_b.append(vb)
-            columns[a], columns[b] = "".join(col_a), "".join(col_b)
-            done.update((a, b))
-        else:
+        if name not in columns:
             p = spec.marginals[name]
             rng = _stream(spec, f"symptom:{name}")
             columns[name] = "".join(["1" if rng.random() < p else "0" for _ in range(n)])
-            done.add(name)
 
     age_rng = _stream(spec, "age")
     buckets = [b for b, _ in spec.age_weights]
-    weights = [w for _, w in spec.age_weights]
+    cum_weights = list(accumulate(w for _, w in spec.age_weights))
     ages = []
     for _ in range(n):
-        bucket = age_rng.choices(buckets, weights=weights)[0]
-        lo, hi = _BUCKET_RANGES[bucket]
-        ages.append(age_rng.randint(lo, hi))
+        bucket = age_rng.choices(buckets, cum_weights=cum_weights)[0]
+        lo, hi = AGE_BUCKETS[bucket]
+        ages.append(age_rng.randint(lo, min(hi - 1, 100)))  # >60 draws stop at 100
 
     sex_rng = _stream(spec, "sex")
     sexes = ["M" if sex_rng.random() < spec.male_fraction else "F" for _ in range(n)]

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -138,6 +139,25 @@ class TestMine:
         out = capsys.readouterr().out
         assert out.startswith("| Antecedents | Consequents |")
 
+    def test_md_escapes_a_pipe_in_an_item_name(self, capsys, tmp_path):
+        # the reports of a cohort with an item "a|b" are those of the same
+        # cohort with "a_b", renamed: escaped as a\|b in md, as it is in csv and json
+        reports = {}
+        for name in ("a|b", "a_b"):
+            path = tmp_path / "pipe.csv"
+            path.write_text(f"{name},c\n1,1\n1,0\n1,1\n0,1\n")
+            for fmt in ("md", "csv", "json"):
+                argv = ["mine", "--input", str(path), "--no-select", "--min-lift", "0"]
+                assert main([*argv, "--format", fmt]) == 0
+                reports[name, fmt] = capsys.readouterr().out
+        assert reports["a|b", "md"] == reports["a_b", "md"].replace("a_b", r"a\|b")
+        for fmt in ("csv", "json"):
+            assert reports["a|b", fmt] == reports["a_b", fmt].replace("a_b", "a|b")
+        rows = reports["a|b", "md"].splitlines()
+        assert len(rows) == 4  # header, separator, a|b => c, c => a|b
+        for row in rows:
+            assert len(re.split(r"(?<!\\)\|", row)) == 10  # 8 cells between 9 unescaped pipes
+
     def test_target_consequent(self, capsys, cohort_csv):
         rc = main(["mine", "--input", str(cohort_csv), "--no-select", "--derive-outcome",
                    "--min-lift", "0.0", "--target-consequent", "Death", "--format", "json"])
@@ -235,6 +255,16 @@ class TestSynthCommand:
                    "--planted", "a,b,0.5"])
         assert rc == 1
         assert "bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--age-weights", "x=1", "unknown age bucket 'x'"),
+        ("--planted", "a,q,0.1", "planted pair item 'q' has no marginal"),
+        ("--planted", "a,a,0.1", "planted pair uses the same item twice: a"),
+    ])
+    def test_bad_spec_is_data_error(self, capsys, flag, value, message):
+        rc = main(["synth", "--n", "10", "--marginal", "a=0.2", flag, value])
+        out = capsys.readouterr()
+        assert (rc, out.out, out.err) == (1, "", f"error: {message}\n")
 
 
 class TestVerifyCommand:

@@ -11,7 +11,7 @@ from rulemine.core import (
     cover_of,
     support_of,
 )
-from rulemine.errors import InvalidItemError, UndefinedSupportError
+from rulemine.errors import ConfigError, InvalidItemError, UndefinedSupportError
 
 from conftest import transaction_sets
 
@@ -55,6 +55,10 @@ class TestItemCatalog:
     def test_duplicate_name_rejected(self):
         with pytest.raises(InvalidItemError):
             ItemCatalog(["fever", "fever"])
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(InvalidItemError, match="non-empty"):
+            ItemCatalog(["a", ""])
 
 
 class TestCoverOf:
@@ -102,6 +106,14 @@ class TestTransactionSet:
             assert support_of(TOY, (i,)) == Fraction(
                 TOY.cover_bits(i).bit_count(), TOY.n_transactions
             )
+
+    def test_negative_row_count_rejected(self):
+        with pytest.raises(ConfigError, match="n_transactions must be >= 0"):
+            TransactionSet(-1, {})
+
+    def test_item_outside_the_universe_rejected(self):
+        with pytest.raises(InvalidItemError, match="transaction 0 uses unknown item id 5"):
+            TransactionSet.from_transactions([[5]], item_ids=[0])
 
     def test_transactions_roundtrip(self):
         rows = [{0, 1}, set(), {2}]

@@ -7,6 +7,7 @@ from rulemine.errors import ConfigError, ParseError, SchemaError
 from rulemine.ingest import (
     CohortSelector,
     DerivationConfig,
+    PatientRecord,
     age_bucket,
     build_catalog,
     derive_items,
@@ -105,6 +106,23 @@ class TestFilterCohort:
     def test_bad_age_range(self):
         with pytest.raises(ConfigError):
             CohortSelector("age_range", lo=40, hi=20)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match="unknown cohort selector: 'bogus'"):
+            CohortSelector("bogus")
+
+
+class TestRowView:
+    def test_sequence_of_records(self):
+        table = parse_patient_csv("age,fever\n5,1\n6,0\n7,1\n")
+        rows = table.rows
+        assert len(rows) == 3
+        assert rows[-1] == PatientRecord(7, None, None, None, {"fever": 1})
+        assert rows[1:] == [rows[1], rows[2]] and rows[::-2] == [rows[2], rows[0]]
+        assert [r.age for r in rows] == [5, 6, 7]
+
+    def test_empty_table_view_is_falsy(self):
+        assert not parse_patient_csv("age,fever\n").rows
 
 
 class TestDeriveItems:

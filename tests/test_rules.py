@@ -67,6 +67,11 @@ class TestGenerateRules:
         fi = FrequentItemsets({(0,): 2, (1,): 1}, 4)
         assert len(generate_rules(fi, MiningConfig())) == 0
 
+    def test_joint_count_above_a_marginal_rejected(self):
+        broken = FrequentItemsets({(0,): 2, (1,): 3, (0, 1): 3}, 4)
+        with pytest.raises(InconsistentSupportError, match="joint count 3 exceeds"):
+            generate_rules(broken, MiningConfig())
+
     def test_missing_subset_is_contract_violation(self):
         broken = FrequentItemsets({(0, 1): 2}, 4)
         with pytest.raises(InternalError):

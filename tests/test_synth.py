@@ -3,7 +3,7 @@ import math
 import pytest
 
 from rulemine.errors import ConfigError
-from rulemine.ingest import parse_patient_csv, serialize_patient_csv
+from rulemine.ingest import AGE_BUCKETS, parse_patient_csv, serialize_patient_csv
 from rulemine.synth import CohortSpec, generate_cohort
 
 
@@ -59,6 +59,14 @@ class TestGenerateCohort:
         again = parse_patient_csv(serialize_patient_csv(table))
         assert again == table
 
+    def test_age_draws_fill_each_bucket_up_to_100(self):
+        # every age of a bucket's range is drawn, and >60 stops at 100
+        for bucket, ages in (("<20", range(0, 20)), ("20-40", range(20, 40)),
+                             ("40-60", range(40, 60)), (">60", range(60, 101))):
+            weights = [(b, float(b == bucket)) for b in AGE_BUCKETS]
+            spec = CohortSpec(n=1000, marginals={"a": 0.5}, age_weights=weights, seed=2)
+            assert set(generate_cohort(spec).age) == set(ages)
+
     def test_ages_respect_buckets(self):
         spec = CohortSpec(
             n=400,
@@ -106,3 +114,12 @@ class TestValidation:
     def test_bad_marginal(self):
         with pytest.raises(ConfigError):
             generate_cohort(CohortSpec(n=10, marginals={"a": 1.5}))
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"n": -1}, "n must be >= 0"),
+        ({"mortality": 1.5}, "mortality must be in"),
+        ({"age_weights": [("<20", 1.5), (">60", -0.5)]}, "negative age weight for >60"),
+    ])
+    def test_bad_spec_value(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            generate_cohort(CohortSpec(**({"n": 10, "marginals": {"a": 0.5}} | fields)))
