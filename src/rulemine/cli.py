@@ -17,7 +17,7 @@ from itertools import chain
 
 from .apriori import MiningConfig, mine_frequent
 from .core import ItemCatalog, canonical_itemset
-from .errors import RuleMineError
+from .errors import ConfigError, RuleMineError
 from .features import item_frequencies, project, select_features, union_features
 from .ingest import (
     CohortSelector,
@@ -52,6 +52,13 @@ METRIC_KEYS = MetricSet._fields
 
 def _names(itemset, catalog: ItemCatalog) -> str:
     return ", ".join(catalog.name_of(i) for i in itemset)
+
+
+def _md_cell(text: str) -> str:
+    """``text`` as one md table cell: a "|" escaped and each line break
+    (CRLF, CR or LF) written as <br>, so an item name cannot split its row."""
+    text = text.replace("|", r"\|").replace("\r\n", "<br>")
+    return text.replace("\r", "<br>").replace("\n", "<br>")
 
 
 def emit_report(rs: RuleSet, catalog: ItemCatalog, fmt: str) -> str:
@@ -92,8 +99,7 @@ def emit_report(rs: RuleSet, catalog: ItemCatalog, fmt: str) -> str:
         lines = ["| " + " | ".join(REPORT_COLUMNS) + " |"]
         lines.append("|" + "|".join([" --- "] * len(REPORT_COLUMNS)) + "|")
         for r in rs.rules:
-            # a "|" in an item name is escaped, so it does not split the cell
-            lines.append("| " + " | ".join(c.replace("|", r"\|") for c in row_cells(r)) + " |")
+            lines.append("| " + " | ".join(map(_md_cell, row_cells(r))) + " |")
         return "\n".join(lines) + "\n"
 
     raise RuleMineError(f"unknown report format: {fmt}")
@@ -168,17 +174,27 @@ def _names_arg(s: str) -> str:
 
 
 def _cohort_arg(s: str) -> CohortSelector:
-    if s in ("all", "deceased", "recovered"):
-        return CohortSelector(s)
-    if "-" in s:
-        lo_s, _, hi_s = s.partition("-")
-        try:
-            return CohortSelector("age_range", lo=int(lo_s), hi=int(hi_s))
-        except (ValueError, RuleMineError):
-            pass
-    raise argparse.ArgumentTypeError(
-        f"cohort must be all, deceased, recovered, or LO-HI: {s!r}"
-    )
+    """A ``LO-HI`` age range, or the cohort ``CohortSelector`` names ``s``."""
+    lo, dash, hi = s.partition("-")
+    try:
+        return CohortSelector("age_range", lo=int(lo), hi=int(hi)) if dash else CohortSelector(s)
+    except (ValueError, ConfigError):
+        raise argparse.ArgumentTypeError(
+            f"cohort must be all, deceased, recovered, or LO-HI: {s!r}"
+        ) from None
+
+
+def _read(path: str, what: str, use):
+    """``use(fh)`` of the UTF-8 file ``path`` (a leading BOM skipped, line
+    ends kept); a file that cannot be read or is not UTF-8 is a data error
+    naming the ``what`` file."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return use(fh)
+    except OSError as exc:
+        raise RuleMineError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise RuleMineError(f"cannot read {what} file {path}: not UTF-8 ({exc.reason})") from None
 
 
 def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
@@ -189,13 +205,7 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
     flag's own type and choices here, so a bad line is a usage error that
     names ``path:line``.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise RuleMineError(f"cannot read config file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise RuleMineError(f"cannot read config file {path}: not UTF-8 ({exc.reason})") from None
+    lines = _read(path, "config", lambda fh: fh.read().splitlines())
     tokens = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -227,21 +237,16 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
 # ---------------------------------------------------------------- commands
 
 
-def _load_table(path: str):
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            return parse_patient_csv(fh)
-    except OSError as exc:
-        raise RuleMineError(f"cannot read input file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise RuleMineError(f"cannot read input file {path}: not UTF-8 ({exc.reason})") from None
-
-
 def _load_items(args):
     """The front half every analysis command shares: load the input, keep
     the cohort, derive items. Returns (table, derivation config, catalog,
     transactions)."""
-    table = filter_cohort(_load_table(args.input), args.cohort)
+    table = filter_cohort(_read(args.input, "input", parse_patient_csv), args.cohort)
+    if not len(table):
+        sel = args.cohort
+        name = sel.kind if sel.lo is None else f"{sel.lo}-{sel.hi}"
+        cohort = "" if sel.kind == "all" else f" with --cohort {name}"
+        raise RuleMineError(f"no patient rows in input file {args.input}{cohort}")
     cfg = DerivationConfig(
         age_buckets_enabled=args.derive_age,
         include_sex=args.derive_sex,

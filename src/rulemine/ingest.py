@@ -14,7 +14,12 @@ bytes methods: a quote-free chunk, under any header, is split with
 ``str.split`` up to its last reserved column and the symptoms after that
 column are sliced into columns by character, a reserved column's row
 bitsets come from one byte code per row and ``bytes.translate``, and rows
-are dropped from a bitset with ``core.row_compactor``.
+are dropped from a bitset with ``core.row_compactor``. LF, CRLF and a
+lone CR each end a line, so a file with any of them takes that path.
+
+One parser per reserved column (``_CELLS``) decides whether a cell is
+valid and, when it is not, gives the error's text, both when a chunk is
+parsed as columns and when a rejected chunk is checked row by row.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ from .core import (
 )
 from .errors import ConfigError, InternalError, ParseError, RuleMineError, SchemaError
 
-RESERVED_COLUMNS = ("id", "age", "sex", "outcome", "lab_result")
-
 # age bucket -> its half-open range [lo, hi) of ages, in catalog order
 AGE_BUCKETS = {"<20": (0, 20), "20-40": (20, 40), "40-60": (40, 60), ">60": (60, math.inf)}
 # reserved column -> {cell value: the derived item it sets}, in catalog order;
@@ -51,6 +54,9 @@ _ITEMS = {
     "outcome": {"recovered": "Recovery", "deceased": "Death"},
     "lab_result": {"pos": "Lab_Res_Pos", "neg": "Lab_Res_Neg"},
 }
+RESERVED_COLUMNS = ("id", *_ITEMS)
+# the cohorts CohortSelector takes: every row, one outcome's rows, or an age range
+_COHORTS = ("all", *_ITEMS["outcome"], "age_range")
 
 CHUNK_ROWS = 4096  # CSV rows transposed into columns at a time
 
@@ -140,10 +146,10 @@ class DerivationConfig(Record):
 
 
 class CohortSelector(Record):
-    """The rows one cohort keeps: all, deceased, recovered, or ages in [lo, hi)."""
+    """The rows one cohort keeps: all, one outcome's rows, or ages in [lo, hi)."""
 
     def __init__(self, kind: str, lo: int | None = None, hi: int | None = None):
-        if kind not in ("all", "deceased", "recovered", "age_range"):
+        if kind not in _COHORTS:
             raise ConfigError(f"unknown cohort selector: {kind!r}")
         if kind == "age_range":
             if lo is None or hi is None or not lo < hi:
@@ -158,20 +164,32 @@ def age_bucket(age: int) -> str:
     return next(bucket for bucket, (_, hi) in AGE_BUCKETS.items() if age < hi)
 
 
+# The cell grammar of the reserved columns: each parser returns a cell's
+# value, None for an empty cell, and raises ValueError with the user message.
 def _age_cell(v: str) -> int | None:
     if not v:
         return None
-    age = int(v)
+    try:
+        age = int(v)
+    except ValueError:
+        raise ValueError(f"not an integer: {v!r}") from None
     if age < 0:
-        raise ValueError(v)
+        raise ValueError(f"negative age {age}")
     return age
 
 
-_CHOICES = {name: tuple(_ITEMS[name]) for name in ("sex", "outcome", "lab_result")}
-# reserved column -> parser of one cell; ValueError or KeyError marks a bad cell
+def _choice_cell(a: str, b: str) -> Callable[[str], str | None]:
+    def parse(v: str) -> str | None:
+        if v not in ("", a, b):
+            raise ValueError(f"expected {a} or {b}, got {v!r}")
+        return v or None
+
+    return parse
+
+
+# reserved column -> parser of one cell, in the order a row's cells are checked
 _CELLS = {
-    "age": _age_cell,
-    **{name: {"": None, a: a, b: b}.__getitem__ for name, (a, b) in _CHOICES.items()},
+    name: _age_cell if name == "age" else _choice_cell(*values) for name, values in _ITEMS.items()
 }
 _FLAG_CELLS = frozenset("01")
 
@@ -227,25 +245,20 @@ def _chunks(lines: Iterator[str], line_num: int) -> Iterator[tuple[list, Sequenc
     """The non-blank rows after the header, up to CHUNK_ROWS at a time,
     each chunk with the CSV line each of its rows starts on.
 
-    A chunk is its lines with the line ends stripped while they hold no
-    quote, no CR outside CRLF and no line longer than csv's field limit;
+    A chunk is its lines with the line ends (LF, CRLF or CR) stripped
+    while they hold no quote and no line longer than csv's field limit;
     from the first chunk that does, csv.reader reads the rest of the input
     (a quoted field may span lines) and chunks are its records.
     ``line_num`` is the number of lines read so far.
     """
     while block := list(islice(lines, CHUNK_ROWS)):
         text = "".join(block)
-        if "\r" in text:
-            text = text.replace("\r\n", "\n")
+        if "\r" in text:  # CRLF and a lone CR end a line, as LF does
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         rows = text.split("\n")
         if not rows[-1]:
             rows.pop()
-        if (
-            len(rows) != len(block)
-            or '"' in text
-            or "\r" in text
-            or max(map(len, rows)) > csv.field_size_limit()
-        ):
+        if len(rows) != len(block) or '"' in text or max(map(len, rows)) > csv.field_size_limit():
             reader = csv.reader(chain(block, lines))
             records, starts = [], []
             start = line_num + 1  # the line the next record starts on
@@ -306,7 +319,7 @@ def _chunk_columns(chunk: list, header: list[str], lead: int):
         return None
     try:
         return _values(dict(zip(header, columns)), len(chunk)), [*map("".join, leading), *trailing]
-    except (ValueError, KeyError):  # a bad reserved cell
+    except ValueError:  # a bad reserved cell
         return None
 
 
@@ -331,18 +344,11 @@ def _first_error(chunk: list, lines: Sequence[int], header: list[str]) -> RuleMi
         if len(cells) != len(header):
             return ParseError(f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
         present = dict(zip(header, cells))
-        raw = present.get("age", "")
-        if raw:
+        for name, parse in _CELLS.items():
             try:
-                age = int(raw)
-            except ValueError:
-                return ParseError(f"row {lineno}, column age: not an integer: {raw!r}")
-            if age < 0:
-                return ParseError(f"row {lineno}, column age: negative age {age}")
-        for name, (a, b) in _CHOICES.items():
-            v = present.get(name, "")
-            if v not in ("", a, b):
-                return ParseError(f"row {lineno}, column {name}: expected {a} or {b}, got {v!r}")
+                parse(present.get(name, ""))
+            except ValueError as exc:
+                return ParseError(f"row {lineno}, column {name}: {exc}")
         for name, v in present.items():
             if name not in RESERVED_COLUMNS and v not in _FLAG_CELLS:
                 return ParseError(f"row {lineno}, column {name}: expected 0 or 1, got {v!r}")
@@ -369,19 +375,6 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
-
-
-def cohort_mask(table: PatientTable, sel: CohortSelector) -> int:
-    """Row bitset of the patients ``sel`` selects."""
-    if sel.kind == "all":
-        return (1 << len(table)) - 1
-    name = "age" if sel.kind == "age_range" else "outcome"
-    if missing := _first_missing(table, [name]):
-        line, _ = missing
-        raise SchemaError(f"row {line}: {sel.kind} cohort filter needs {name} but {name} missing")
-    if name == "outcome":
-        return value_rows(table.outcome).get(sel.kind, 0)  # the kinds are the outcome values
-    return value_rows(table.age, lambda a: sel.lo <= a < sel.hi).get(True, 0)
 
 
 def _first_missing(table: PatientTable, names: list[str]) -> tuple[int, str] | None:
@@ -417,8 +410,15 @@ def filter_cohort(table: PatientTable, sel: CohortSelector) -> PatientTable:
     """The rows ``sel`` selects, order preserved; ``all`` returns ``table`` itself."""
     if sel.kind == "all":
         return table
+    name = "age" if sel.kind == "age_range" else "outcome"
+    if missing := _first_missing(table, [name]):
+        line, _ = missing
+        raise SchemaError(f"row {line}: {sel.kind} cohort filter needs {name} but {name} missing")
+    if name == "outcome":
+        keep = value_rows(table.outcome).get(sel.kind, 0)  # the other kinds are outcome values
+    else:
+        keep = value_rows(table.age, lambda a: sel.lo <= a < sel.hi).get(True, 0)
     n = len(table)
-    keep = cohort_mask(table, sel)
     compact = row_compactor(keep, n)
     mask = row_mask(keep, n)
     return PatientTable(

@@ -158,6 +158,23 @@ class TestMine:
         for row in rows:
             assert len(re.split(r"(?<!\\)\|", row)) == 10  # 8 cells between 9 unescaped pipes
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_md_writes_a_line_break_in_an_item_name_as_br(self, capsys, tmp_path, eol):
+        path = tmp_path / "break.csv"
+        path.write_bytes(f'"a{eol}b",f\n1,1\n1,0\n1,1\n0,1\n'.encode())
+        argv = ["mine", "--input", str(path), "--no-select", "--min-lift", "0",
+                "--min-support", "0.1"]
+        assert main([*argv, "--format", "json"]) == 0
+        rules = json.loads(capsys.readouterr().out)
+        assert f"a{eol}b" in {name for r in rules for name in r["antecedent"] + r["consequent"]}
+        assert main([*argv, "--format", "md"]) == 0
+        out = capsys.readouterr().out
+        rows = out.splitlines()
+        assert len(rows) == 2 + len(rules)  # header, separator, one line per rule
+        for row in rows:
+            assert len(re.split(r"(?<!\\)\|", row)) == 10  # 8 cells between 9 unescaped pipes
+        assert "a<br>b" in out
+
     def test_target_consequent(self, capsys, cohort_csv):
         rc = main(["mine", "--input", str(cohort_csv), "--no-select", "--derive-outcome",
                    "--min-lift", "0.0", "--target-consequent", "Death", "--format", "json"])
@@ -545,6 +562,27 @@ class TestBadInputAndOutput:
                 assert (rc, out) == (1, "")
                 assert err == "error: row 4: age derivation enabled but age missing\n"
 
+    def test_negative_age_names_the_row(self, capsys, tmp_path):
+        path = tmp_path / "age.csv"
+        path.write_text("age,Fever\n30,1\n-3,0\n")
+        rc, out, err = self._run(capsys, ["mine", "--input", str(path)])
+        assert (rc, out, err) == (1, "", "error: row 3, column age: negative age -3\n")
+
+    @pytest.mark.parametrize(
+        "command", [["freq"], ["select"], ["mine"], ["mine", "--no-select"], ["verify"]],
+        ids=["freq", "select", "mine", "mine_no_select", "verify"],
+    )
+    def test_no_rows_names_the_input_and_cohort(self, capsys, tmp_path, command):
+        path = tmp_path / "few.csv"
+        path.write_text("age,outcome,Fever\n")
+        rc, out, err = self._run(capsys, [*command, "--input", str(path)])
+        assert (rc, out, err) == (1, "", f"error: no patient rows in input file {path}\n")
+        path.write_text("age,outcome,Fever\n30,recovered,1\n70,recovered,0\n")
+        for cohort in ("deceased", "0-20"):
+            rc, out, err = self._run(capsys, [*command, "--input", str(path), "--cohort", cohort])
+            assert (rc, out) == (1, "")
+            assert err == f"error: no patient rows in input file {path} with --cohort {cohort}\n"
+
     def test_cohort_error_names_the_csv_line(self, capsys, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("age,outcome,Fever\n30,recovered,1\n50,,1\n,deceased,0\n")
@@ -687,3 +725,11 @@ class TestCohortFlag:
     def test_bad_age_range_is_usage_error(self, capsys, cohort_csv, value):
         err = _usage_error(capsys, ["freq", "--input", str(cohort_csv), "--cohort", value])
         assert "argument --cohort:" in err and repr(value) in err
+
+    @pytest.mark.parametrize("value", ["age_range", "Deceased", "20-40-60", "-5-10"])
+    def test_bad_cohort_is_one_usage_error(self, capsys, cohort_csv, value):
+        # "=" hands "-5-10" to the --cohort type rather than reading it as a flag
+        err = _usage_error(capsys, ["freq", "--input", str(cohort_csv), f"--cohort={value}"])
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert line.endswith(f"argument --cohort: cohort must be all, deceased, recovered, "
+                             f"or LO-HI: {value!r}")

@@ -294,18 +294,25 @@ def test_drop_sparse_matches_rowwise(case):
     assert kept.transactions() == expected
 
 
+HEADERS = {
+    "reserved_first": ["age", "sex", "outcome", "f", "g"],  # as synth writes it
+    "mixed": ["f", "age", "g", "sex", "h", "i"],
+    "reserved_last": ["f", "g", "age", "sex", "outcome"],
+}
+
+
+# each header's LF case is named by the header alone, so its id matches earlier runs'
 @pytest.mark.parametrize(
-    "header",
+    "header, eol",
     [
-        ["age", "sex", "outcome", "f", "g"],  # as synth writes it
-        ["f", "age", "g", "sex", "h", "i"],
-        ["f", "g", "age", "sex", "outcome"],
+        pytest.param(header, eol, id=name + suffix)
+        for eol, suffix in (("\n", ""), ("\r\n", "-crlf"), ("\r", "-cr"))
+        for name, header in HEADERS.items()
     ],
-    ids=["reserved_first", "mixed", "reserved_last"],
 )
-def test_quote_free_chunks_skip_csv_reader(header):
-    """Three quote-free chunks: csv.reader tokenises the header only, and
-    no chunk is checked row by row."""
+def test_quote_free_chunks_skip_csv_reader(header, eol):
+    """Three quote-free chunks, under LF, CRLF or CR line ends: csv.reader
+    tokenises the header only, and no chunk is checked row by row."""
     real_reader = csv.reader
     rows_read = []
 
@@ -329,8 +336,8 @@ def test_quote_free_chunks_skip_csv_reader(header):
         values = {"age": str(20 + t), "sex": "MF"[t % 2], "outcome": "recovered"}
         return values.get(name, str((t + ord(name[0])) // 2 % 2))
 
-    text = ",".join(header) + "\n" + "".join(
-        ",".join(cell(name, t) for name in header) + "\n" for t in range(9)
+    text = ",".join(header) + eol + "".join(
+        ",".join(cell(name, t) for name in header) + eol for t in range(9)
     )
     with (
         patch.object(ingest, "CHUNK_ROWS", 3),

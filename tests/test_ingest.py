@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -43,6 +44,22 @@ class TestParse:
     def test_oversized_cell_is_a_parse_error(self):
         with pytest.raises(ParseError, match=r"row 3: field larger than field limit"):
             parse_patient_csv("fever\n1\n" + "1" * 200_000 + "\n")
+
+    def test_oversized_header_field_is_a_parse_error(self):
+        limit = csv.field_size_limit()
+        with pytest.raises(ParseError) as exc:
+            parse_patient_csv("a" * (limit + 1) + ",fever\n1,0\n")
+        assert str(exc.value) == f"row 1: field larger than field limit ({limit})"
+
+    @pytest.mark.parametrize("chunk", ["fast", "csv"])
+    def test_negative_age_names_the_row(self, chunk):
+        # a quote hands the chunk to csv.reader; either way the message is the same
+        text = "id,age,fever\np1,5,1\np2,-3,0\n"
+        if chunk == "csv":
+            text = text.replace("p1", '"p1"')
+        with pytest.raises(ParseError) as exc:
+            parse_patient_csv(text)
+        assert str(exc.value) == "row 3, column age: negative age -3"
 
     def test_crlf_accepted(self):
         table = parse_patient_csv(CSV.replace("\n", "\r\n"))
