@@ -8,6 +8,12 @@ P+(i,) and P+(j,), so each candidate costs one bitset AND and only the
 covers along the current search path are alive. Items are taken in id
 order, so every itemset comes out in canonical form.
 
+With ``cfg.target_consequent`` T, rules need only the frequent Z that
+contain T, Z minus T and T (the class-rule setting of CBA, Liu, Hsu & Ma
+1998). The same search then runs over the items outside T, with each
+cover ANDed with cover(T) and at most max_len - |T| deep: every X it
+finds is recorded as X∪T with that count, and as X with its own count.
+
 ``generate_candidates`` is Apriori's level-wise join and prune. The miner
 does not use it; it stays as the reference the tests and the bench's
 candidate counter use. ``min_count`` is the one threshold predicate: it
@@ -20,7 +26,7 @@ import math
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 
-from .core import Itemset, Record, TransactionSet
+from .core import Itemset, Record, TransactionSet, cover_bits_of
 from .errors import ConfigError, InternalError, UndefinedSupportError
 
 
@@ -51,7 +57,9 @@ class MiningConfig(Record):
 
 
 class FrequentItemsets(Record):
-    """All frequent itemsets with exact counts, keyed by canonical tuple."""
+    """Frequent itemsets with exact counts, keyed by canonical tuple: all
+    of them, or for a target T only each frequent Z containing T, Z minus T
+    and T."""
 
     def __init__(self, counts: dict[Itemset, int], n_transactions: int):
         self.counts = counts
@@ -114,14 +122,32 @@ def generate_candidates(frequent_prev: Iterable[Itemset]) -> set[Itemset]:
 
 
 def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
-    """All itemsets with support >= cfg.min_support (and size <= max_len)."""
+    """All itemsets with support >= cfg.min_support (and size <= max_len);
+    with a target T, only the frequent Z containing T, each Z minus T, and T."""
     n = ts.n_transactions
     if n == 0:
         raise UndefinedSupportError("cannot mine an empty transaction set")
     need = min_count(cfg.min_support)(n)
     max_len = cfg.max_len or ts.n_items
+    target = cfg.target_consequent or ()
+    items = ts.item_ids()
 
     counts: dict[Itemset, int] = {}
+    if not set(target) <= set(items):
+        return FrequentItemsets(counts, n)  # a target item is not in ts: no rule has T
+    # every cover below is conditional on T: the cover of X is cover(X∪T)
+    base = cover_bits_of(ts, target)
+    if target and len(target) <= max_len and base.bit_count() >= need:
+        counts[target] = base.bit_count()
+    depth = max_len - len(target)
+    if depth < 1:
+        return FrequentItemsets(counts, n)
+
+    def record(x: Itemset, c: int) -> None:
+        if target:
+            counts[tuple(sorted(x + target))] = c
+            c = cover_bits_of(ts, x).bit_count()
+        counts[x] = c
 
     def extend(prefix: Itemset, klass: list[tuple[int, int]]) -> None:
         # klass: the frequent prefix + (i,) as (i, cover) pairs in id order
@@ -132,18 +158,20 @@ def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
                 bits = cover & cover_j
                 c = bits.bit_count()
                 if c >= need:
-                    counts[p + (j,)] = c
+                    record(p + (j,), c)
                     child.append((j, bits))
-            if len(child) > 1 and len(p) + 2 <= max_len:
+            if len(child) > 1 and len(p) + 2 <= depth:
                 extend(p, child)
 
     root = []
-    for i in ts.item_ids():
-        bits = ts.cover_bits(i)
+    for i in items:
+        if i in target:
+            continue
+        bits = ts.cover_bits(i) & base
         c = bits.bit_count()
         if c >= need:
-            counts[(i,)] = c
+            record((i,), c)
             root.append((i, bits))
-    if max_len > 1:
+    if depth > 1:
         extend((), root)
     return FrequentItemsets(counts, n)

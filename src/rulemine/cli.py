@@ -318,6 +318,9 @@ def _run_pipeline(args):
 
     if args.min_symptoms is not None:
         ts = drop_sparse_patients(ts, clinical, args.min_symptoms)
+        if not ts.n_transactions:
+            raise RuleMineError(f"no patient rows in input file {args.input}"
+                                f" with --min-symptoms {args.min_symptoms}")
 
     target = None
     if args.target_consequent:
@@ -359,11 +362,16 @@ def _cmd_verify(args) -> int:
     from . import oracle
 
     _, ts, mcfg = _run_pipeline(args)
-    fi = mine_frequent(ts, mcfg)
+    # the whole lattice against the oracle's; the rules from the target's family
+    fi = mine_frequent(ts, MiningConfig(**(vars(mcfg) | {"target_consequent": None})))
     if fi.counts != oracle.brute_frequent(ts, mcfg.min_support, mcfg.max_len).counts:
         print("MISMATCH: frequent itemsets differ from brute-force oracle", file=sys.stderr)
         return 1
-    rs = generate_rules(fi, mcfg)
+    family = mine_frequent(ts, mcfg) if mcfg.target_consequent else fi
+    if not family.counts.items() <= fi.counts.items():
+        print("MISMATCH: targeted itemsets differ from the whole lattice", file=sys.stderr)
+        return 1
+    rs = generate_rules(family, mcfg)
     if rs.rules != oracle.brute_rules(ts, mcfg).rules:
         print("MISMATCH: rule sets differ from brute-force oracle", file=sys.stderr)
         return 1

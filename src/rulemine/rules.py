@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .apriori import FrequentItemsets, MiningConfig, min_count
-from .core import Record
+from .core import Itemset, Record
 from .errors import InconsistentSupportError, InternalError, UndefinedMetricError
 
 Number = float | Fraction
@@ -76,6 +76,31 @@ def metrics(supp_xy: Number, supp_x: Number, supp_y: Number) -> MetricSet:
     )
 
 
+def _least_undefined(counts: dict[Itemset, int], target: Itemset | None):
+    """The least (X, Y) that ``generate_rules`` would build with X or Y of
+    count 0, or None.
+
+    Only an itemset W of count 0 can be that X or Y. With a target, W is
+    X∪Y and Y is the target. Without one, ``counts`` is downward closed, so
+    the least partner of W on either side is (j,) for the least j with
+    W∪{j} counted.
+    """
+    singles = sorted(s for s in counts if len(s) == 1)
+    found = []
+    for w in [s for s, c in counts.items() if c == 0]:
+        if target is None:
+            j = next((j for j in singles if j[0] not in w
+                      and tuple(sorted(w + j)) in counts), None)
+            if j:
+                found += [(w, j), (j, w)]
+        else:
+            x = tuple(i for i in w if i not in target)
+            y = tuple(i for i in w if i in target)
+            if y == tuple(target) and x and y and 0 in (counts.get(x), counts.get(y)):
+                found.append((x, y))
+    return min(found, default=None)
+
+
 def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
     """Every partition X => Y of every frequent itemset Z that passes the
     thresholds, ranked by descending support, then descending confidence,
@@ -85,11 +110,18 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
     target_consequent when one is set, and X = Z minus Y. The filters,
     confidence >= min_confidence and lift strictly > min_lift, are decided
     on integer counts by ``min_count``, and each rule keeps only its counts.
+    When some partition's X or Y has count 0, no metric is defined and the
+    least such (X, Y) in canonical order is named in the error, whatever
+    order ``fi.counts`` has.
     """
     n = fi.n_transactions
     conf_need = min_count(cfg.min_confidence)
     lift_need = min_count(cfg.min_lift, strict=True)
     target = cfg.target_consequent
+    if 0 in fi.counts.values():
+        undefined = _least_undefined(fi.counts, target)
+        if undefined:
+            raise UndefinedMetricError("metrics undefined for zero count: %s => %s" % undefined)
     kept = []
     for z, c_xy in fi.counts.items():
         if target is None:
@@ -105,8 +137,6 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
                 raise InternalError(
                     f"downward closure violated: missing support for {exc.args[0]}"
                 ) from None
-            if c_x == 0 or c_y == 0:
-                raise UndefinedMetricError(f"metrics undefined for zero count: {x} => {y}")
             if c_xy > min(c_x, c_y):
                 raise InconsistentSupportError(
                     f"joint count {c_xy} exceeds a marginal ({c_x}, {c_y})"

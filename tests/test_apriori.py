@@ -9,14 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rulemine.apriori import (
+    FrequentItemsets,
     MiningConfig,
     generate_candidates,
     min_count,
     mine_frequent,
 )
 from rulemine.core import TransactionSet
-from rulemine.errors import ConfigError, InternalError, UndefinedSupportError
+from rulemine.errors import (
+    ConfigError,
+    InternalError,
+    UndefinedMetricError,
+    UndefinedSupportError,
+)
 from rulemine.oracle import brute_frequent
+from rulemine.rules import generate_rules
 
 from conftest import random_transaction_set, transaction_sets
 
@@ -217,3 +224,33 @@ def test_order_and_relabeling_invariance():
             tuple(sorted(inverse[i] for i in s)): c for s, c in fi_rel.counts.items()
         }
         assert unpermuted == fi.counts
+
+
+def _rules_or_error(fi, cfg):
+    try:
+        return generate_rules(fi, cfg).rules
+    except UndefinedMetricError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.data(),
+    transaction_sets(max_items=6),
+    st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3, 0.5]),
+    st.sampled_from([None, 1, 2, 3]),
+)
+def test_targeted_counts_are_the_targets_family(data, ts, min_support, max_len):
+    # ids up to n_items: the last one is in no row and no cover
+    ids = st.integers(0, ts.n_items)
+    target = tuple(sorted(data.draw(st.sets(ids, min_size=1, max_size=2))))
+    cfg = MiningConfig(min_support=min_support, max_len=max_len, target_consequent=target)
+    full = mine_frequent(ts, MiningConfig(**(vars(cfg) | {"target_consequent": None})))
+    family = mine_frequent(ts, cfg).counts
+    assert family.items() <= full.counts.items()
+    supersets = {z for z in full.counts if set(target) <= set(z)}
+    assert supersets <= family.keys()
+    antecedents = {tuple(i for i in z if i not in target) for z in supersets}
+    assert family.keys() - supersets <= antecedents
+    fi = FrequentItemsets(family, ts.n_transactions)
+    assert _rules_or_error(fi, cfg) == _rules_or_error(full, cfg)

@@ -182,6 +182,20 @@ class TestMine:
         rules = json.loads(capsys.readouterr().out)
         assert rules and all(r["consequent"] == ["Death"] for r in rules)
 
+    @pytest.mark.parametrize("min_support", ["0.001", "0"])
+    def test_target_projected_away_is_header_only(self, capsys, tmp_path, min_support):
+        # Rash is in 1 row of 10, below both selection thresholds
+        path = tmp_path / "rare.csv"
+        rows = ["30,M,recovered,1,1,0"] * 5 + ["50,F,deceased,0,1,0"] * 4
+        rows.append("40,M,recovered,1,0,1")
+        path.write_text("\n".join(["age,sex,outcome,Fever,Cough,Rash", *rows]) + "\n")
+        assert main(["select", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "Cough\nFever\n"
+        rc = main(["mine", "--input", str(path), "--derive-outcome", "--min-lift", "0",
+                   "--min-support", min_support, "--target-consequent", "Rash"])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (0, ",".join(cli.REPORT_COLUMNS) + "\n", "")
+
     def test_cohort_filter(self, capsys, cohort_csv):
         rc = main(["freq", "--input", str(cohort_csv), "--cohort", "deceased"])
         assert rc == 0
@@ -344,6 +358,31 @@ class TestVerifyPipeline:
         )
         rc = main(["verify", "--input", str(synth_csv), *PAPER_DEATH_FLAGS,
                    "--min-symptoms", "2", "--max-len", "3"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert "MISMATCH" in err
+
+    @pytest.mark.parametrize("defect", ["drop", "inflate"])
+    def test_catches_a_wrong_targeted_family(self, capsys, monkeypatch, synth_csv, defect):
+        real = cli.mine_frequent
+
+        def defective(ts, cfg):
+            fi = real(ts, cfg)
+            if cfg.target_consequent:
+                # the itemset of a rule that passes: its X∪Y
+                rule = generate_rules(fi, cfg).rules[0]
+                z = tuple(sorted(rule.antecedent + rule.consequent))
+                if defect == "drop":
+                    del fi.counts[z]
+                else:
+                    fi.counts[z] += 1
+            return fi
+
+        argv = ["verify", "--input", str(synth_csv), *PAPER_DEATH_FLAGS, "--max-len", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("OK: ")
+        monkeypatch.setattr(cli, "mine_frequent", defective)
+        rc = main(argv)
         out, err = capsys.readouterr()
         assert (rc, out) == (1, "")
         assert "MISMATCH" in err
@@ -582,6 +621,19 @@ class TestBadInputAndOutput:
             rc, out, err = self._run(capsys, [*command, "--input", str(path), "--cohort", cohort])
             assert (rc, out) == (1, "")
             assert err == f"error: no patient rows in input file {path} with --cohort {cohort}\n"
+
+    @pytest.mark.parametrize(
+        "command", [["mine"], ["mine", "--no-select"], ["verify"]],
+        ids=["mine", "mine_no_select", "verify"],
+    )
+    def test_min_symptoms_dropping_every_row_names_the_flag(self, capsys, tmp_path, command):
+        path = tmp_path / "sparse.csv"
+        path.write_text("age,outcome,Fever,Cough\n30,recovered,1,0\n40,deceased,0,1\n")
+        argv = [*command, "--input", str(path), "--min-symptoms", "2"]
+        rc, out, err = self._run(capsys, argv)
+        assert (rc, out, err) == (
+            1, "", f"error: no patient rows in input file {path} with --min-symptoms 2\n"
+        )
 
     def test_cohort_error_names_the_csv_line(self, capsys, tmp_path):
         path = tmp_path / "gap.csv"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -112,3 +113,59 @@ def test_target_consequent_equals_filtered_untargeted(ts, min_support, min_confi
     for target in fi.counts:
         targeted = generate_rules(fi, MiningConfig(**(vars(cfg) | {"target_consequent": target})))
         assert targeted.rules == [r for r in untargeted if r.consequent == target]
+
+
+class TestZeroCount:
+    """At support 0 an itemset in no row is frequent. A partition with a
+    side of count 0 has no metrics, and the error names the least such
+    (X, Y) in canonical order, whatever order the counts come in."""
+
+    # item 3 is the target; (0, 1, 2) is the least antecedent in no row
+    TS = TransactionSet.from_transactions([{0, 1}, {2}, {3}])
+
+    def _message(self, counts, cfg):
+        with pytest.raises(UndefinedMetricError) as exc:
+            generate_rules(FrequentItemsets(counts, 3), cfg)
+        return str(exc.value)
+
+    @pytest.mark.parametrize(
+        "target,least", [(None, "(0,) => (1, 2)"), ((3,), "(0, 1, 2) => (3,)")]
+    )
+    def test_the_least_partition_is_named(self, target, least):
+        cfg = MiningConfig(min_support=0.0, target_consequent=target)
+        counts = mine_frequent(self.TS, cfg).counts
+        for order in (counts, dict(reversed(counts.items()))):
+            assert self._message(order, cfg) == f"metrics undefined for zero count: {least}"
+
+    def test_targeted_and_full_lattice_name_the_same_partition(self):
+        cfg = MiningConfig(min_support=0.0, target_consequent=(3,))
+        full = mine_frequent(self.TS, MiningConfig(min_support=0.0)).counts
+        assert self._message(mine_frequent(self.TS, cfg).counts, cfg) == self._message(full, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(),
+    transaction_sets(max_items=5, max_transactions=8),
+    st.sampled_from([None, 1, 2, 3]),
+    st.sampled_from([None, (0,), (1,), (0, 2)]),
+)
+def test_zero_count_error_is_the_least_of_every_partition(data, ts, max_len, target):
+    counts = mine_frequent(ts, MiningConfig(min_support=0.0, max_len=max_len)).counts
+    undefined = [
+        (x, y)
+        for z in counts
+        for r in range(1, len(z))
+        for y in combinations(z, r)
+        for x in [tuple(i for i in z if i not in y)]
+        if target in (None, y) and 0 in (counts[x], counts[y])
+    ]
+    shuffled = dict(data.draw(st.permutations(list(counts.items()))))
+    fi = FrequentItemsets(shuffled, ts.n_transactions)
+    cfg = MiningConfig(min_support=0.0, target_consequent=target)
+    if undefined:
+        with pytest.raises(UndefinedMetricError) as exc:
+            generate_rules(fi, cfg)
+        assert str(exc.value) == "metrics undefined for zero count: %s => %s" % min(undefined)
+    else:
+        generate_rules(fi, cfg)
