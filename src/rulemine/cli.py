@@ -17,9 +17,10 @@ from itertools import chain
 
 from .apriori import MiningConfig, mine_frequent
 from .core import ItemCatalog, canonical_itemset
-from .errors import ConfigError, RuleMineError
+from .errors import ConfigError, RuleMineError, UndefinedMetricError
 from .features import item_frequencies, project, select_features, union_features
 from .ingest import (
+    _COHORTS,
     CohortSelector,
     DerivationConfig,
     build_catalog,
@@ -29,7 +30,6 @@ from .ingest import (
     filter_cohort,
     parse_patient_csv,
     serialize_patient_csv,
-    value_rows,
 )
 from .rules import MetricSet, RuleSet, generate_rules
 
@@ -173,14 +173,19 @@ def _names_arg(s: str) -> str:
     return ",".join(names)
 
 
+# the --cohort words: all, the outcome cohorts sorted, then an age range
+_COHORT_WORDS = ["all", *sorted(set(_COHORTS) - {"all", "age_range"}), "LO-HI"]
+
+
 def _cohort_arg(s: str) -> CohortSelector:
     """A ``LO-HI`` age range, or the cohort ``CohortSelector`` names ``s``."""
     lo, dash, hi = s.partition("-")
     try:
         return CohortSelector("age_range", lo=int(lo), hi=int(hi)) if dash else CohortSelector(s)
     except (ValueError, ConfigError):
+        *words, last = _COHORT_WORDS
         raise argparse.ArgumentTypeError(
-            f"cohort must be all, deceased, recovered, or LO-HI: {s!r}"
+            f"cohort must be {', '.join(words)}, or {last}: {s!r}"
         ) from None
 
 
@@ -292,7 +297,7 @@ def _select_pipeline(table, ts, symptom_ids, args):
     symptoms = project(ts, symptom_ids)
     selected = select_features(item_frequencies(symptoms), args.feature_threshold)
     # the deceased leg counts the rows whose outcome is deceased; a blank is not
-    deceased = value_rows(table.outcome).get("deceased", 0)
+    deceased = table.outcome["deceased"]
     if deceased:
         freq_dec = item_frequencies(symptoms, rows=deceased)
         selected = union_features(
@@ -334,9 +339,20 @@ def _run_pipeline(args):
     )
 
 
+def _rules(fi, mcfg: MiningConfig, catalog: ItemCatalog) -> RuleSet:
+    """``generate_rules``; its zero-count error names the items of (X, Y)."""
+    try:
+        return generate_rules(fi, mcfg)
+    except UndefinedMetricError as exc:
+        if exc.pair is None:
+            raise
+        x, y = (_names(s, catalog) for s in exc.pair)
+        raise RuleMineError(f"metrics undefined for zero count: {x} => {y}") from None
+
+
 def _cmd_mine(args) -> int:
     catalog, ts, mcfg = _run_pipeline(args)
-    rs = generate_rules(mine_frequent(ts, mcfg), mcfg)
+    rs = _rules(mine_frequent(ts, mcfg), mcfg, catalog)
     _write_output(args, emit_report(rs, catalog, args.format))
     return 0
 
@@ -361,7 +377,7 @@ def _cmd_synth(args) -> int:
 def _cmd_verify(args) -> int:
     from . import oracle
 
-    _, ts, mcfg = _run_pipeline(args)
+    catalog, ts, mcfg = _run_pipeline(args)
     # the whole lattice against the oracle's; the rules from the target's family
     fi = mine_frequent(ts, MiningConfig(**(vars(mcfg) | {"target_consequent": None})))
     if fi.counts != oracle.brute_frequent(ts, mcfg.min_support, mcfg.max_len).counts:
@@ -371,7 +387,7 @@ def _cmd_verify(args) -> int:
     if not family.counts.items() <= fi.counts.items():
         print("MISMATCH: targeted itemsets differ from the whole lattice", file=sys.stderr)
         return 1
-    rs = generate_rules(family, mcfg)
+    rs = _rules(family, mcfg, catalog)
     if rs.rules != oracle.brute_rules(ts, mcfg).rules:
         print("MISMATCH: rule sets differ from brute-force oracle", file=sys.stderr)
         return 1
@@ -390,7 +406,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="patient CSV file")
     p.add_argument(
         "--cohort", type=_cohort_arg, default=CohortSelector("all"),
-        help="all | deceased | recovered | LO-HI age range",
+        help=" | ".join(_COHORT_WORDS) + " age range",
     )
     p.add_argument("--derive-age", action="store_true", help="add age-bucket items")
     p.add_argument("--derive-sex", action="store_true", help="add Male/Female items")

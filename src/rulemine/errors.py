@@ -26,7 +26,10 @@ class UndefinedSupportError(RuleMineError):
 
 
 class UndefinedMetricError(RuleMineError):
-    """Metric requested with a zero antecedent or consequent support."""
+    """Metric requested with a zero antecedent or consequent support;
+    ``pair`` is the rule's (X, Y) of item ids when one is known."""
+
+    pair: tuple | None = None
 
 
 class InconsistentSupportError(RuleMineError):

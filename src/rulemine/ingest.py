@@ -6,16 +6,21 @@ binary symptom column. Demographic/outcome items are injected as extra
 transaction items so they can appear inside rules.
 
 Tables are columnar from the CSV to the miner: each symptom column is one
-row bitset and each reserved column one per-row list. Parsing turns
-fixed-size chunks of lines into columns, and cohort filters, derived items
-and the sparse-patient drop work on whole columns, so every stage takes
-time linear in the number of cells. The per-row work runs inside str and
-bytes methods: a quote-free chunk, under any header, is split with
-``str.split`` up to its last reserved column and the symptoms after that
-column are sliced into columns by character, a reserved column's row
-bitsets come from one byte code per row and ``bytes.translate``, and rows
-are dropped from a bitset with ``core.row_compactor``. LF, CRLF and a
-lone CR each end a line, so a file with any of them takes that path.
+row bitset, ``sex``, ``outcome`` and ``lab_result`` are one row bitset per
+value, and ``age`` is one per-row list. Parsing turns fixed-size chunks of
+lines into columns, and cohort filters, derived items and the
+sparse-patient drop work on whole columns, so every stage takes time
+linear in the number of cells. The per-row work runs inside str and bytes
+methods: a quote-free chunk, under any header, is cut by slicing each line
+before the symptoms after its last reserved column, which are then sliced
+into columns by character, and the heads are split at commas as one
+string, so no line becomes a list. The cells of a bitset column become
+one code byte per row, and its row bitsets come from ``bytes.translate``
+at the end of the parse; rows are dropped from a bitset with
+``core.row_compactor``. LF, CRLF and a lone CR each end a line, so a file
+with any of them takes that path. Row line numbers are an ``array`` only
+from the first row that is not on line t + 2; before that they are a
+``range``.
 
 One parser per reserved column (``_CELLS``) decides whether a cell is
 valid and, when it is not, gives the error's text, both when a chunk is
@@ -30,7 +35,9 @@ import math
 from array import array
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import reduce
 from itertools import chain, compress, islice, repeat
+from operator import itemgetter, or_
 
 from .core import (
     ItemCatalog,
@@ -69,11 +76,14 @@ class PatientTable(Record):
     """Columnar patient table.
 
     ``covers[j]`` is the row bitset of ``symptom_columns[j]`` (bit t set
-    when row t has the symptom). ``age``, ``sex``, ``outcome`` and
-    ``lab_result`` hold one value per row, None where the cell is empty or
-    the column absent. ``lines`` gives each row's CSV line for error
-    messages; by default row t is line t + 2, as ``serialize_patient_csv``
-    writes it. Tables equal but for ``lines`` are ``==``.
+    when row t has the symptom). ``sex``, ``outcome`` and ``lab_result``
+    each map every value of the column, in catalog order, to its row
+    bitset; a row in none of them has the cell empty or the column absent
+    (``missing``). ``age`` holds one value per row, None where the cell is
+    empty or the column absent. ``lines`` gives each row's CSV line for
+    error messages; by default row t is line t + 2, as
+    ``serialize_patient_csv`` writes it. Tables equal but for ``lines``
+    are ``==``.
     """
 
     _uncompared = frozenset({"lines"})
@@ -83,9 +93,9 @@ class PatientTable(Record):
         symptom_columns: list[str],
         covers: list[int],
         age: list[int | None],
-        sex: list[str | None],
-        outcome: list[str | None],
-        lab_result: list[str | None],
+        sex: dict[str, int],
+        outcome: dict[str, int],
+        lab_result: dict[str, int],
         lines: Sequence[int] | None = None,
     ):
         self.symptom_columns = symptom_columns
@@ -99,6 +109,11 @@ class PatientTable(Record):
     def __len__(self) -> int:
         return len(self.age)
 
+    def missing(self, name: str) -> int:
+        """The rows with no value in the column ``name`` (``sex``,
+        ``outcome`` or ``lab_result``): an empty cell or an absent column."""
+        return ((1 << len(self)) - 1) & ~reduce(or_, getattr(self, name).values())
+
     @property
     def rows(self) -> Sequence[PatientRecord]:
         """Read-only row view, one PatientRecord built per access."""
@@ -107,8 +122,10 @@ class PatientTable(Record):
 
 class _RowView(Sequence):
     def __init__(self, table: PatientTable):
+        n = len(table)
         self._table = table
-        self._flags = [bits_to_flags(c, len(table)) for c in table.covers]
+        self._flags = [bits_to_flags(c, n) for c in table.covers]
+        self._codes = [_codes_of(getattr(table, name), n) for name in _CODED]
 
     def __len__(self) -> int:
         return len(self._table)
@@ -118,7 +135,27 @@ class _RowView(Sequence):
             return [self[j] for j in range(*k.indices(len(self)))]
         t = self._table
         symptoms = {name: int(f[k]) for name, f in zip(t.symptom_columns, self._flags)}
-        return PatientRecord(t.age[k], t.sex[k], t.outcome[k], t.lab_result[k], symptoms)
+        coded = [values[codes[k]] for values, codes in zip(_CODED.values(), self._codes)]
+        return PatientRecord(t.age[k], *coded, symptoms)
+
+
+def _codes_of(rows: dict[str, int], n: int) -> bytes:
+    """One byte per row, row 0 first: k where the row is in the k-th of
+    the disjoint bitsets ``rows`` (counting from 1), 0 where it is in none.
+
+    Each bitset becomes one 0/1 byte per row; read as one int, the k-th
+    is multiplied by k and summed, and no byte carries into the next.
+    """
+    total = sum(
+        int.from_bytes(row_mask(bits, n), "big") * k for k, bits in enumerate(rows.values(), 1)
+    )
+    return total.to_bytes(n, "big")
+
+
+def _rows_of_code(coded: bytes, k: int) -> int:
+    """The bitset of the rows whose byte in ``coded`` is k; ``coded`` is
+    one byte per row, row n-1 first."""
+    return int(coded.translate(bytes(48 + (j == k) for j in range(256))), 2) if coded else 0
 
 
 class DerivationConfig(Record):
@@ -191,6 +228,9 @@ def _choice_cell(a: str, b: str) -> Callable[[str], str | None]:
 _CELLS = {
     name: _age_cell if name == "age" else _choice_cell(*values) for name, values in _ITEMS.items()
 }
+# reserved column held as row bitsets -> its values by code byte: None (an
+# empty cell or an absent column) is 0, and the k-th value is k
+_CODED = {name: (None, *values) for name, values in _ITEMS.items() if name != "age"}
 _FLAG_CELLS = frozenset("01")
 
 
@@ -220,25 +260,37 @@ def parse_patient_csv(source: str | Iterable[str]) -> PatientTable:
         dupes = sorted({c for c in header if header.count(c) > 1})
         raise SchemaError(f"duplicate header names: {', '.join(dupes)}")
     symptom_columns = [c for c in header if c not in RESERVED_COLUMNS]
-    # one past the last reserved column: the symptoms after it stay one remainder
+    # one past the last reserved column: the symptoms after it are each line's tail
     lead = max((k + 1 for k, c in enumerate(header) if c in RESERVED_COLUMNS), default=0)
 
     flags: list[list[str]] = [[] for _ in symptom_columns]
-    reserved: dict[str, list] = {name: [] for name in _CELLS}
-    line_numbers = array("q")
+    ages: list[int | None] = []
+    codes = {name: bytearray() for name in _CODED}  # empty for a column the CSV lacks
+    line_numbers = None  # every row so far is on line t + 2
     for chunk, chunk_lines in _chunks(lines, reader.line_num):
         got = _chunk_columns(chunk, header, lead)
         if got is None:
             raise _first_error(chunk, chunk_lines, header)
-        values, chunk_flags = got
-        for name, column in values.items():
-            reserved[name].extend(column)
+        (chunk_ages, chunk_codes), chunk_flags = got
+        t = len(ages)
+        if line_numbers is None and (
+            chunk_lines[0] != t + 2 or chunk_lines[-1] != t + 1 + len(chunk_lines)
+        ):
+            line_numbers = array("q", range(2, t + 2))
+        if line_numbers is not None:
+            line_numbers.extend(chunk_lines)
+        ages.extend(chunk_ages)
+        for name, coded in chunk_codes.items():
+            codes[name] += coded
         for parts, f in zip(flags, chunk_flags):
             parts.append(f)
-        line_numbers.extend(chunk_lines)
 
     covers = [flags_to_bits("".join(parts)) for parts in flags]
-    return PatientTable(symptom_columns, covers, **reserved, lines=line_numbers)
+    values = {}
+    for name, coded in codes.items():
+        coded.reverse()  # row n-1 first
+        values[name] = {v: _rows_of_code(coded, k) for k, v in enumerate(_CODED[name][1:], 1)}
+    return PatientTable(symptom_columns, covers, ages, **values, lines=line_numbers)
 
 
 def _chunks(lines: Iterator[str], line_num: int) -> Iterator[tuple[list, Sequence[int]]]:
@@ -289,52 +341,68 @@ def _chunk_columns(chunk: list, header: list[str], lead: int):
     """The reserved values and symptom flag strings of a chunk, or None
     when a row is not one valid cell per ``header`` column.
 
-    A csv record comes split into cells. A quote-free line is split only
-    at its first ``lead`` commas, so the S symptoms after the last
-    reserved column stay one remainder: joined with commas, the
-    remainders must be 2S-1 characters each with commas at the odd
-    positions and only 0 and 1 at the even ones, and the j-th of them has
-    every S-th even character from j as its flags. Every other symptom is
-    a column of cells, each 0 or 1.
+    A csv record comes split into cells. A quote-free line is cut before
+    its last 2S characters, S being the number of symptoms after the last
+    reserved column, so no line becomes a list: joined, those tails must
+    be S pairs of a comma and a 0 or 1 each, and symptom j's flags are
+    every S-th second character from 2j + 1. The heads must hold ``lead``
+    cells each; joined with commas and split, column k is every
+    ``lead``-th cell from k. Every symptom that is not in a tail is a
+    column of cells, each 0 or 1.
     """
-    tail = 0  # the symptoms after the last reserved column, kept as one remainder
-    if isinstance(chunk[0], str):
-        tail = len(header) - lead
-        chunk = list(map(str.split, chunk, repeat(","), repeat(lead)))
-    if set(map(len, chunk)) != {len(header) - tail + (tail > 0)}:
-        return None
-    columns = list(zip(*chunk))
+    n = len(chunk)
     trailing = []
-    if tail:
-        remainders = columns.pop()
-        if set(map(len, remainders)) != {2 * tail - 1}:
+    if isinstance(chunk[0], str):
+        tail = len(header) - lead  # the symptoms after the last reserved column
+        if not lead:  # no reserved column: each line is all tail
+            if set(map(len, chunk)) != {2 * tail - 1}:
+                return None
+            heads, tails = [], "," + ",".join(chunk)
+        elif tail:
+            heads = list(map(itemgetter(slice(None, -2 * tail)), chunk))
+            tails = "".join(map(itemgetter(slice(-2 * tail, None)), chunk))
+        else:
+            heads, tails = chunk, ""
+        flags = tails[1::2]
+        if (len(tails) != 2 * tail * n or tails[::2] != "," * len(flags)
+                or flags.encode().translate(None, b"01")):
             return None
-        cells = ",".join(remainders)
-        commas, digits = cells[1::2], cells[::2]
-        if commas != "," * len(commas) or digits.encode().translate(None, b"01"):
+        if heads and set(map(str.count, heads, repeat(","))) != {lead - 1}:
             return None
-        trailing = [digits[j::tail] for j in range(tail)]
+        cells = ",".join(heads).split(",")
+        columns = [cells[k::lead] for k in range(lead)]
+        trailing = [flags[j::tail] for j in range(tail)]
+    elif set(map(len, chunk)) == {len(header)}:
+        columns = list(zip(*chunk))
+    else:
+        return None
     leading = [column for name, column in zip(header, columns) if name not in RESERVED_COLUMNS]
     if not all(map(_FLAG_CELLS.issuperset, leading)):
         return None
     try:
-        return _values(dict(zip(header, columns)), len(chunk)), [*map("".join, leading), *trailing]
+        return _values(dict(zip(header, columns)), n), [*map("".join, leading), *trailing]
     except ValueError:  # a bad reserved cell
         return None
 
 
-def _values(columns: dict[str, Sequence[str]], n: int) -> dict[str, Iterable]:
-    """Each reserved column's values for ``n`` rows, each distinct cell
-    parsed once; None throughout a column the CSV lacks."""
-    out: dict[str, Iterable] = {}
+def _values(columns: dict[str, Sequence[str]], n: int) -> tuple[Iterable, dict[str, bytes]]:
+    """The ages of ``n`` rows (None throughout when the CSV lacks the
+    column) and the code bytes (``_CODED``) of each other reserved column
+    the CSV has, each distinct cell parsed once."""
+    ages: Iterable = repeat(None, n)
+    codes = {}
     for name, parse in _CELLS.items():
         cells = columns.get(name)
         if cells is None:
-            out[name] = repeat(None, n)
-        else:
+            continue
+        if name == "age":
             memo = {v: parse(v) for v in set(cells)}
-            out[name] = map(memo.__getitem__, cells)
-    return out
+            ages = map(memo.__getitem__, cells)
+        else:
+            code = {v: k for k, v in enumerate(_CODED[name])}
+            memo = {v: code[parse(v)] for v in set(cells)}
+            codes[name] = bytes(map(memo.__getitem__, cells))
+    return ages, codes
 
 
 def _first_error(chunk: list, lines: Sequence[int], header: list[str]) -> RuleMineError:
@@ -356,18 +424,42 @@ def _first_error(chunk: list, lines: Sequence[int], header: list[str]) -> RuleMi
 
 
 def serialize_patient_csv(table: PatientTable) -> str:
-    """Inverse of parse_patient_csv for the columns the table carries."""
-    header: list[str] = []
-    columns: list[Sequence[str]] = []
-    for name in _CELLS:
-        values = getattr(table, name)
-        if values.count(None) < len(values):
-            header.append(name)
-            columns.append(["" if v is None else str(v) for v in values])
-    header.extend(table.symptom_columns)
-    columns.extend(bits_to_flags(c, len(table)) for c in table.covers)
+    """Inverse of parse_patient_csv for the columns the table carries.
 
-    return csv_text(chain([header], zip(*columns)))
+    Each row is the text of its reserved cells, then its symptom flags,
+    which are written into one buffer of equal-width row tails by strided
+    slices, one per symptom column.
+    """
+    n = len(table)
+    header: list[str] = []
+    cells: list[Iterable[str]] = []  # each reserved column's cell text, row by row
+    if table.age.count(None) < n:
+        header.append("age")
+        text = {a: "" if a is None else str(a) for a in set(table.age)}
+        cells.append(map(text.__getitem__, table.age))
+    for name, by_code in _CODED.items():
+        rows = getattr(table, name)
+        if any(rows.values()):
+            header.append(name)
+            text = ["", *by_code[1:]]
+            cells.append(map(text.__getitem__, _codes_of(rows, n)))
+    width = len(header) + len(table.covers)  # cells per row
+    header.extend(table.symptom_columns)
+    if not width:
+        return csv_text([header])
+    if width == 1 and cells:  # csv writes a row of one empty field as ""
+        cells = [(v or '""' for v in cells[0])]
+
+    lead = 1 if cells else 0  # the comma after the reserved cells
+    step = lead + 2 * len(table.covers)  # one row's tail: its flags and line end
+    tails = bytearray(b",") * (step * n)
+    tails[step - 1 :: step] = b"\n" * n
+    for j, bits in enumerate(table.covers):
+        tails[lead + 2 * j :: step] = bits_to_flags(bits, n).encode()
+    body = tails.decode()
+    if cells:
+        body = "".join(map(str.__add__, map(",".join, zip(*cells)), body.splitlines(True)))
+    return csv_text([header]) + body
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:
@@ -381,11 +473,16 @@ def _first_missing(table: PatientTable, names: list[str]) -> tuple[int, str] | N
     """The CSV line and column of the first row missing a value in one of
     the reserved columns ``names``, the earlier name on a tie; None when
     no value is missing."""
-    columns = [getattr(table, name) for name in names]
-    missing = [(values.index(None), k) for k, values in enumerate(columns) if None in values]
-    if not missing:
+    firsts = []
+    for k, name in enumerate(names):
+        if name == "age":
+            if None in table.age:
+                firsts.append((table.age.index(None), k))
+        elif missing := table.missing(name):
+            firsts.append(((missing & -missing).bit_length() - 1, k))
+    if not firsts:
         return None
-    t, k = min(missing)
+    t, k = min(firsts)
     return table.lines[t], names[k]
 
 
@@ -400,10 +497,7 @@ def value_rows(column: Sequence, key: Callable | None = None) -> dict:
     codes = {result: k for k, result in enumerate(set(label.values()))}
     code_of = {v: codes[result] for v, result in label.items()}
     coded = bytes(map(code_of.__getitem__, column))[::-1]  # row n-1 first
-    return {
-        result: int(coded.translate(b"0" * k + b"1" + b"0" * (255 - k)), 2)
-        for result, k in codes.items()
-    }
+    return {result: _rows_of_code(coded, k) for result, k in codes.items()}
 
 
 def filter_cohort(table: PatientTable, sel: CohortSelector) -> PatientTable:
@@ -415,7 +509,7 @@ def filter_cohort(table: PatientTable, sel: CohortSelector) -> PatientTable:
         line, _ = missing
         raise SchemaError(f"row {line}: {sel.kind} cohort filter needs {name} but {name} missing")
     if name == "outcome":
-        keep = value_rows(table.outcome).get(sel.kind, 0)  # the other kinds are outcome values
+        keep = table.outcome[sel.kind]  # the other kinds are outcome values
     else:
         keep = value_rows(table.age, lambda a: sel.lo <= a < sel.hi).get(True, 0)
     n = len(table)
@@ -424,7 +518,8 @@ def filter_cohort(table: PatientTable, sel: CohortSelector) -> PatientTable:
     return PatientTable(
         list(table.symptom_columns),
         list(map(compact, table.covers)),
-        *(list(compress(getattr(table, name), mask)) for name in _CELLS),
+        list(compress(table.age, mask)),
+        *({v: compact(bits) for v, bits in getattr(table, name).items()} for name in _CODED),
         lines=array("q", compress(table.lines, mask)),
     )
 
@@ -453,7 +548,7 @@ def derive_items(
     for name, bits in zip(table.symptom_columns, table.covers):
         covers[catalog.id_of(name)] = bits
     for column in cfg.columns():
-        rows = value_rows(getattr(table, column), age_bucket if column == "age" else None)
+        rows = value_rows(table.age, age_bucket) if column == "age" else getattr(table, column)
         for value, item in _ITEMS[column].items():
             covers[catalog.id_of(item)] = rows.get(value, 0)
     return TransactionSet(len(table), covers)

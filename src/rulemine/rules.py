@@ -111,8 +111,8 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
     confidence >= min_confidence and lift strictly > min_lift, are decided
     on integer counts by ``min_count``, and each rule keeps only its counts.
     When some partition's X or Y has count 0, no metric is defined and the
-    least such (X, Y) in canonical order is named in the error, whatever
-    order ``fi.counts`` has.
+    least such (X, Y) in canonical order is named in the error, and is its
+    ``pair``, whatever order ``fi.counts`` has.
     """
     n = fi.n_transactions
     conf_need = min_count(cfg.min_confidence)
@@ -121,7 +121,9 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
     if 0 in fi.counts.values():
         undefined = _least_undefined(fi.counts, target)
         if undefined:
-            raise UndefinedMetricError("metrics undefined for zero count: %s => %s" % undefined)
+            exc = UndefinedMetricError("metrics undefined for zero count: %s => %s" % undefined)
+            exc.pair = undefined
+            raise exc
     kept = []
     for z, c_xy in fi.counts.items():
         if target is None:

@@ -122,18 +122,19 @@ def generate_cohort(spec: CohortSpec) -> PatientTable:
         lo, hi = AGE_BUCKETS[bucket]
         ages.append(age_rng.randint(lo, min(hi - 1, 100)))  # >60 draws stop at 100
 
+    every = (1 << n) - 1
     sex_rng = _stream(spec, "sex")
-    sexes = ["M" if sex_rng.random() < spec.male_fraction else "F" for _ in range(n)]
+    male = flags_to_bits("".join(["1" if sex_rng.random() < spec.male_fraction else "0"
+                                  for _ in range(n)]))
     out_rng = _stream(spec, "outcome")
-    outcomes = [
-        "deceased" if out_rng.random() < spec.mortality else "recovered" for _ in range(n)
-    ]
+    deceased = flags_to_bits("".join(["1" if out_rng.random() < spec.mortality else "0"
+                                      for _ in range(n)]))
 
     return PatientTable(
         symptom_columns,
         covers=[flags_to_bits(columns[name]) for name in symptom_columns],
         age=ages,
-        sex=sexes,
-        outcome=outcomes,
-        lab_result=[None] * n,
+        sex={"M": male, "F": every ^ male},
+        outcome={"recovered": every ^ deceased, "deceased": deceased},
+        lab_result={"pos": 0, "neg": 0},
     )

@@ -635,6 +635,16 @@ class TestBadInputAndOutput:
             1, "", f"error: no patient rows in input file {path} with --min-symptoms 2\n"
         )
 
+    @pytest.mark.parametrize("command", ["mine", "verify"])
+    def test_zero_count_error_names_the_items(self, capsys, tmp_path, command):
+        # a and b never meet, so {a, b} has count 0 and {a, b} => c no metrics
+        path = tmp_path / "zero.csv"
+        path.write_text("a,b,c\n1,0,1\n0,1,1\n1,0,0\n")
+        argv = [command, "--input", str(path), "--no-select", "--min-support", "0",
+                "--min-lift", "0"]
+        rc, out, err = self._run(capsys, argv)
+        assert (rc, out, err) == (1, "", "error: metrics undefined for zero count: a, b => c\n")
+
     def test_cohort_error_names_the_csv_line(self, capsys, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("age,outcome,Fever\n30,recovered,1\n50,,1\n,deceased,0\n")
@@ -772,6 +782,18 @@ class TestCohortFlag:
             [catalog.name_of(i), str(count), repr(float(Fraction(count, freq.n_transactions)))]
             for i, count in freq.counts.items()
         )
+
+    @pytest.mark.parametrize("ages", [range(600), [5, 2**70, 150]], ids=["600_ages", "2**70"])
+    def test_age_range_over_any_ages(self, capsys, tmp_path, ages):
+        path = tmp_path / "ages.csv"
+        path.write_text("age,Fever\n" + "".join(f"{a},{a % 2}\n" for a in ages))
+        argv = ["freq", "--input", str(path), "--derive-age", "--cohort", "100-300"]
+        assert main(argv) == 0
+        kept = [a for a in ages if 100 <= a < 300]
+        _, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert {item: int(count) for item, count, _ in rows} == {
+            "Fever": sum(a % 2 for a in kept), "<20": 0, "20-40": 0, "40-60": 0, ">60": len(kept)
+        }
 
     @pytest.mark.parametrize("value", ["40-20", "20-x", "20-"])
     def test_bad_age_range_is_usage_error(self, capsys, cohort_csv, value):

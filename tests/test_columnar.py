@@ -9,6 +9,8 @@ every error message.
 
 import csv
 import io
+from functools import reduce
+from operator import or_
 from unittest.mock import patch
 
 import pytest
@@ -28,7 +30,9 @@ from rulemine.ingest import (
     drop_sparse_patients,
     filter_cohort,
     parse_patient_csv,
+    serialize_patient_csv,
 )
+from rulemine.synth import CohortSpec, generate_cohort
 
 RESERVED = ("id", "age", "sex", "outcome", "lab_result")
 CHOICES = {"sex": ("M", "F"), "outcome": ("recovered", "deceased"), "lab_result": ("pos", "neg")}
@@ -116,6 +120,22 @@ def rowwise_derive(rows, cfg, catalog):
     return out
 
 
+def rowwise_serialize(table):
+    """serialize_patient_csv restated: csv.writer over the row view, with
+    the reserved columns that hold a value and every symptom column."""
+    rows = table.rows
+    reserved = [name for name in RESERVED[1:] if any(getattr(r, name) is not None for r in rows)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(reserved + table.symptom_columns)
+    if reserved or table.symptom_columns:
+        for r in rows:
+            cells = [getattr(r, name) for name in reserved]
+            writer.writerow(["" if v is None else v for v in cells]
+                            + [r.symptoms[c] for c in table.symptom_columns])
+    return buf.getvalue()
+
+
 def outcome_of(call):
     """A call's result, or its error's class name and message."""
     try:
@@ -178,6 +198,8 @@ SELECTORS = st.one_of(
     .filter(lambda lh: lh[0] < lh[1])
     .map(lambda lh: CohortSelector("age_range", lo=lh[0], hi=lh[1])),
 )
+MANY_AGES = "age,f\n" + "".join(f"{a},{a % 2}\n" for a in range(600))
+HUGE_AGE = f"age,f\n5,1\n{2**70},0\n150,1\n"
 DERIVATIONS = st.builds(DerivationConfig, st.booleans(), st.booleans(), st.booleans(), st.booleans())
 
 
@@ -242,6 +264,11 @@ def test_filter_cohort_matches_rowwise(text, sel):
     DerivationConfig(True, True, True, True),
 )
 @example("lab_result,f\n,1\n,0\n", CohortSelector("all"), DerivationConfig(include_lab=True))
+# more than 256 distinct ages in one chunk, and an age far past any byte or machine word
+@example(MANY_AGES, CohortSelector("age_range", lo=100, hi=300), DerivationConfig(True))
+@example(MANY_AGES, CohortSelector("all"), DerivationConfig(True))
+@example(HUGE_AGE, CohortSelector("age_range", lo=100, hi=300), DerivationConfig(True))
+@example(HUGE_AGE, CohortSelector("all"), DerivationConfig(True))
 @example("sex,f\n,1\n,0\n", CohortSelector("all"), DerivationConfig(include_sex=True))
 def test_derive_items_matches_rowwise(text, sel, cfg):
     table = parse_patient_csv(text)
@@ -348,3 +375,91 @@ def test_quote_free_chunks_skip_csv_reader(header, eol):
     assert rows_read == [header]
     assert first_error.call_count == 0
     assert got == rowwise_parse(text)
+
+
+def assert_rows_partitioned(table):
+    """Each bitset column's values, in catalog order, and its missing rows
+    are disjoint and hold every row of the table."""
+    every = (1 << len(table)) - 1
+    for name, values in CHOICES.items():
+        column = getattr(table, name)
+        assert tuple(column) == values
+        parts = [*column.values(), table.missing(name)]
+        assert reduce(or_, parts) == every
+        assert sum(bits.bit_count() for bits in parts) == len(table)
+
+
+COHORT_SPECS = st.builds(
+    CohortSpec,
+    n=st.integers(0, 60),
+    marginals=st.just({"a": 0.5}),
+    mortality=st.floats(0, 1),
+    male_fraction=st.floats(0, 1),
+    seed=st.integers(0, 2**32),
+)
+
+
+@given(patient_csv(bad_cells=False), SELECTORS, COHORT_SPECS)
+@example("age,sex,outcome,lab_result,f\n", CohortSelector("all"), CohortSpec(0, {}))  # 0 rows
+@example("sex,f\nM,1\n,0\nF,1\n", CohortSelector("deceased"), CohortSpec(1, {}))  # no outcome
+def test_reserved_bitsets_partition_the_rows(text, sel, spec):
+    table = parse_patient_csv(text)
+    tables = [table, generate_cohort(spec)]
+    try:
+        tables.append(filter_cohort(table, sel))
+    except SchemaError:
+        pass  # a blank cell in the selector's column
+    for t in tables:
+        assert_rows_partitioned(t)
+
+
+@given(patient_csv(bad_cells=False), SELECTORS, COHORT_SPECS)
+@example('age\n""\n5\n', CohortSelector("all"), CohortSpec(0, {}))  # a row of one empty field
+@example("sex\n\"\"\nM\n", CohortSelector("all"), CohortSpec(0, {}))
+@example("age,f\n,1\n,0\n", CohortSelector("all"), CohortSpec(3, {"a": 0.5}))  # age all empty
+@example("age,outcome\n5,deceased\n6,recovered\n", CohortSelector("deceased"), CohortSpec(2, {}))
+def test_serialize_matches_csv_writer(text, sel, spec):
+    table = parse_patient_csv(text)
+    tables = [table, generate_cohort(spec)]
+    try:
+        tables.append(filter_cohort(table, sel))
+    except SchemaError:
+        pass
+    for t in tables:
+        assert serialize_patient_csv(t) == rowwise_serialize(t)
+
+
+@pytest.mark.parametrize("header", [
+    ["id", "Fever", "age", "Cough", "sex"],
+    ["Fever", "age", "id", "Cough", "sex"],
+], ids=["id_first", "mixed"])
+def test_id_columns_parse_to_the_table_without_them(header):
+    cells = [{"Fever": str(t % 2), "age": str(t % 90) if t % 7 else "", "Cough": str(t // 2 % 2),
+              "sex": "MF"[t % 2] if t % 5 else "", "id": f"p{t}"} for t in range(10)]
+
+    def text(columns):
+        return "".join(",".join(c[name] for name in columns) + "\n" for c in [dict(zip(columns, columns)), *cells])
+
+    plain = parse_patient_csv(text([name for name in header if name != "id"]))
+    with patch.object(ingest, "CHUNK_ROWS", 4):
+        assert parse_patient_csv(text(header)) == plain
+    assert parse_patient_csv(text(header)) == plain
+
+
+def test_rows_on_line_t_plus_2_keep_a_range_of_lines():
+    text = "age,f\n" + "".join(f"{t % 90},{t % 2}\n" for t in range(3 * 4096 + 5))
+    table = parse_patient_csv(text)
+    assert table.lines == range(2, len(table) + 2) and isinstance(table.lines, range)
+
+
+def test_derive_error_after_a_late_blank_line_names_its_csv_line():
+    rows = [f"{t % 90},{'MF'[t % 2]},{t % 2}" for t in range(5000)]
+    rows[4600] = "40,,1"  # row 4600 is on line 4603: one blank line comes before it
+    rows.insert(4200, "")
+    text = "age,sex,f\n" + "\n".join(rows) + "\n"
+    table = parse_patient_csv(text)
+    assert list(table.lines[4198:4201]) == [4200, 4201, 4203]
+    cfg = DerivationConfig(include_sex=True)
+    with pytest.raises(SchemaError) as exc:
+        derive_items(table, cfg, build_catalog(table, cfg))
+    assert str(exc.value) == "row 4603: sex derivation enabled but sex missing"
