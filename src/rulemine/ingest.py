@@ -7,8 +7,8 @@ transaction items so they can appear inside rules.
 
 Tables are columnar from the CSV to the miner: each symptom column is one
 row bitset, ``sex``, ``outcome`` and ``lab_result`` are one row bitset per
-value, and ``age`` is one per-row list. Parsing turns fixed-size chunks of
-lines into columns, and cohort filters, derived items and the
+value, and ``age`` is one per-row list. Parsing turns blocks of about
+CHUNK_ROWS lines into columns, and cohort filters, derived items and the
 sparse-patient drop work on whole columns, so every stage takes time
 linear in the number of cells. The per-row work runs inside str and bytes
 methods: a quote-free chunk, under any header, is cut by slicing each line
@@ -36,7 +36,7 @@ from array import array
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, or_
 
 from .core import (
@@ -65,7 +65,7 @@ RESERVED_COLUMNS = ("id", *_ITEMS)
 # the cohorts CohortSelector takes: every row, one outcome's rows, or an age range
 _COHORTS = ("all", *_ITEMS["outcome"], "age_range")
 
-CHUNK_ROWS = 4096  # CSV rows transposed into columns at a time
+CHUNK_ROWS = 4096  # about this many CSV rows are read and turned into columns at a time
 
 
 # one row of a PatientTable, built on access by PatientTable.rows
@@ -234,22 +234,22 @@ _CODED = {name: (None, *values) for name, values in _ITEMS.items() if name != "a
 _FLAG_CELLS = frozenset("01")
 
 
-def parse_patient_csv(source: str | Iterable[str]) -> PatientTable:
+def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
     """Parse a patient CSV into a PatientTable.
 
     ``source`` is the CSV text or a text file opened with ``newline=""``
     (text is read as such a file, so LF, CRLF and CR line ends all work);
-    it is read CHUNK_ROWS lines at a time, so the text is never held
-    whole. Symptom cells must be exactly 0 or 1; anything else is a hard
-    parse error (no imputation) naming the CSV row and column.
+    it is read in blocks of about CHUNK_ROWS lines, so the text is never
+    held whole. Symptom cells must be exactly 0 or 1; anything else is a
+    hard parse error (no imputation) naming the CSV row and column.
 
     csv.reader reads the header. Every chunk, quote-free lines or csv
     records, is turned into columns by ``_chunk_columns``; a chunk it
     rejects is checked row by row for the first error's message. A row's
     number is the CSV line it starts on.
     """
-    lines = iter(io.StringIO(source, newline="") if isinstance(source, str) else source)
-    reader = csv.reader(lines)
+    fh = io.StringIO(source, newline="") if isinstance(source, str) else source
+    reader = csv.reader(fh)
     try:
         header = next(reader)
     except StopIteration:
@@ -263,11 +263,13 @@ def parse_patient_csv(source: str | Iterable[str]) -> PatientTable:
     # one past the last reserved column: the symptoms after it are each line's tail
     lead = max((k + 1 for k, c in enumerate(header) if c in RESERVED_COLUMNS), default=0)
 
-    flags: list[list[str]] = [[] for _ in symptom_columns]
+    # each symptom's rows so far as bytes, row 0 the low bit of byte 0; the
+    # last byte holds the rows past the last multiple of 8
+    covers = [bytearray() for _ in symptom_columns]
     ages: list[int | None] = []
     codes = {name: bytearray() for name in _CODED}  # empty for a column the CSV lacks
     line_numbers = None  # every row so far is on line t + 2
-    for chunk, chunk_lines in _chunks(lines, reader.line_num):
+    for chunk, chunk_lines in _chunks(fh, reader.line_num):
         got = _chunk_columns(chunk, header, lead)
         if got is None:
             raise _first_error(chunk, chunk_lines, header)
@@ -282,36 +284,50 @@ def parse_patient_csv(source: str | Iterable[str]) -> PatientTable:
         ages.extend(chunk_ages)
         for name, coded in chunk_codes.items():
             codes[name] += coded
-        for parts, f in zip(flags, chunk_flags):
-            parts.append(f)
+        r = t & 7  # rows already in the last byte
+        size = (r + len(chunk_lines) + 7) >> 3
+        for cover, f in zip(covers, chunk_flags):
+            low = cover.pop() if r else 0
+            cover += (low | flags_to_bits(f) << r).to_bytes(size, "little")
 
-    covers = [flags_to_bits("".join(parts)) for parts in flags]
     values = {}
     for name, coded in codes.items():
         coded.reverse()  # row n-1 first
         values[name] = {v: _rows_of_code(coded, k) for k, v in enumerate(_CODED[name][1:], 1)}
-    return PatientTable(symptom_columns, covers, ages, **values, lines=line_numbers)
+    return PatientTable(
+        symptom_columns,
+        [int.from_bytes(cover, "little") for cover in covers],
+        ages,
+        **values,
+        lines=line_numbers,
+    )
 
 
-def _chunks(lines: Iterator[str], line_num: int) -> Iterator[tuple[list, Sequence[int]]]:
-    """The non-blank rows after the header, up to CHUNK_ROWS at a time,
+def _chunks(fh: io.TextIOBase, line_num: int) -> Iterator[tuple[list, Sequence[int]]]:
+    """The non-blank rows after the header, in chunks of about CHUNK_ROWS,
     each chunk with the CSV line each of its rows starts on.
 
-    A chunk is its lines with the line ends (LF, CRLF or CR) stripped
-    while they hold no quote and no line longer than csv's field limit;
-    from the first chunk that does, csv.reader reads the rest of the input
-    (a quoted field may span lines) and chunks are its records.
-    ``line_num`` is the number of lines read so far.
+    The first block is the line after the header. Each next block reads
+    CHUNK_ROWS times the mean length of the last block's lines, finished
+    by ``readline`` so that it ends at a line end (a CRLF that the read
+    splits stays one line end). A chunk is
+    a block's lines with the line ends (LF, CRLF or CR) stripped while
+    they hold no quote and no line longer than csv's field limit; from
+    the first block that does, csv.reader reads the rest of the input
+    from that block's first line (a quoted field may span lines) and
+    chunks are CHUNK_ROWS of its records. ``line_num`` is the number of
+    lines read so far.
     """
-    while block := list(islice(lines, CHUNK_ROWS)):
-        text = "".join(block)
-        if "\r" in text:  # CRLF and a lone CR end a line, as LF does
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
+    block = fh.readline()
+    while block:
+        text = block
+        if "\r" in block:  # CRLF and a lone CR end a line, as LF does
+            text = block.replace("\r\n", "\n").replace("\r", "\n")
         rows = text.split("\n")
         if not rows[-1]:
             rows.pop()
-        if len(rows) != len(block) or '"' in text or max(map(len, rows)) > csv.field_size_limit():
-            reader = csv.reader(chain(block, lines))
+        if '"' in text or max(map(len, rows)) > csv.field_size_limit():
+            reader = csv.reader(chain(io.StringIO(block, newline=""), fh))
             records, starts = [], []
             start = line_num + 1  # the line the next record starts on
             try:
@@ -328,6 +344,7 @@ def _chunks(lines: Iterator[str], line_num: int) -> Iterator[tuple[list, Sequenc
             if records:
                 yield records, starts
             return
+        size = CHUNK_ROWS * len(block) // len(rows)
         starts = range(line_num + 1, line_num + 1 + len(rows))
         line_num += len(rows)
         if not all(rows):  # blank lines
@@ -335,6 +352,7 @@ def _chunks(lines: Iterator[str], line_num: int) -> Iterator[tuple[list, Sequenc
             rows, starts = [rows[k] for k in kept], [starts[k] for k in kept]
         if rows:
             yield rows, starts
+        block = fh.read(size) + fh.readline()
 
 
 def _chunk_columns(chunk: list, header: list[str], lead: int):

@@ -3,12 +3,17 @@
 Column values are drawn from per-column substreams of Python's Mersenne
 Twister (``random.Random`` seeded with ``"<seed>/<column>"``), so adding
 or removing one column never perturbs the others and identical specs give
-byte-identical CSV output on every platform.
+byte-identical CSV output on every platform. Draws use only ``random()``
+and ``getrandbits()`` of each substream: Python promises to keep the
+sequence of ``random()`` across versions, ``getrandbits(k)`` for k <= 32
+is the generator's next 32-bit word shifted right, and ``choices`` and
+``randint``, which carry no such promise, are not called.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from itertools import accumulate
 
 from .core import Record, flags_to_bits
@@ -91,6 +96,39 @@ def _stream(spec: CohortSpec, column: str) -> random.Random:
     return random.Random(f"{spec.seed}/{column}")
 
 
+def _flags(rng: random.Random, p: float, n: int) -> str:
+    """n rows, row 0 first: '1' where the row's uniform is below p, else '0'."""
+    random_ = rng.random
+    return "".join(["1" if random_() < p else "0" for _ in range(n)])
+
+
+def _ages(rng: random.Random, age_weights: list[tuple[str, float]], n: int) -> list[int]:
+    """n ages: a bucket drawn by weight, then an age uniform in it (>60 stops at 100).
+
+    This is ``rng.choices(buckets, cum_weights)[0]`` followed by
+    ``rng.randint(lo, hi)``, as CPython 3.10-3.13 computes them: a bisect
+    of one ``random()`` scaled by the total weight, then ``getrandbits``
+    of the width's bit length until a draw falls below the width.
+    """
+    random_, getrandbits = rng.random, rng.getrandbits
+    cum_weights = list(accumulate(w for _, w in age_weights))
+    total = cum_weights[-1] + 0.0
+    last = len(cum_weights) - 1
+    draws = []  # (lo, width, bits) of each bucket: lo + r for the first r < width
+    for bucket, _ in age_weights:
+        lo, hi = AGE_BUCKETS[bucket]
+        width = min(hi, 101) - lo  # >60 draws stop at 100
+        draws.append((lo, width, width.bit_length()))
+    ages = []
+    for _ in range(n):
+        lo, width, k = draws[bisect(cum_weights, random_() * total, 0, last)]
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        ages.append(lo + r)
+    return ages
+
+
 def generate_cohort(spec: CohortSpec) -> PatientTable:
     """Draw a PatientTable of n rows matching the spec's distributions."""
     _validate(spec)
@@ -101,39 +139,24 @@ def generate_cohort(spec: CohortSpec) -> PatientTable:
     for a, b, joint in spec.planted_pairs:
         p_a, p_b = spec.marginals[a], spec.marginals[b]
         # 2x2 joint from one uniform per row: P(11)=joint, P(10)=p_a-joint, P(01)=p_b-joint
-        rng = _stream(spec, f"pair:{a}+{b}")
-        us = [rng.random() for _ in range(n)]
+        random_ = _stream(spec, f"pair:{a}+{b}").random
+        us = [random_() for _ in range(n)]
         columns[a] = "".join(["1" if u < joint or u < p_a else "0" for u in us])
         columns[b] = "".join(
             ["1" if u < joint or p_a <= u < p_a + p_b - joint else "0" for u in us]
         )
     for name in symptom_columns:
         if name not in columns:
-            p = spec.marginals[name]
-            rng = _stream(spec, f"symptom:{name}")
-            columns[name] = "".join(["1" if rng.random() < p else "0" for _ in range(n)])
-
-    age_rng = _stream(spec, "age")
-    buckets = [b for b, _ in spec.age_weights]
-    cum_weights = list(accumulate(w for _, w in spec.age_weights))
-    ages = []
-    for _ in range(n):
-        bucket = age_rng.choices(buckets, cum_weights=cum_weights)[0]
-        lo, hi = AGE_BUCKETS[bucket]
-        ages.append(age_rng.randint(lo, min(hi - 1, 100)))  # >60 draws stop at 100
+            columns[name] = _flags(_stream(spec, f"symptom:{name}"), spec.marginals[name], n)
 
     every = (1 << n) - 1
-    sex_rng = _stream(spec, "sex")
-    male = flags_to_bits("".join(["1" if sex_rng.random() < spec.male_fraction else "0"
-                                  for _ in range(n)]))
-    out_rng = _stream(spec, "outcome")
-    deceased = flags_to_bits("".join(["1" if out_rng.random() < spec.mortality else "0"
-                                      for _ in range(n)]))
+    male = flags_to_bits(_flags(_stream(spec, "sex"), spec.male_fraction, n))
+    deceased = flags_to_bits(_flags(_stream(spec, "outcome"), spec.mortality, n))
 
     return PatientTable(
         symptom_columns,
         covers=[flags_to_bits(columns[name]) for name in symptom_columns],
-        age=ages,
+        age=_ages(_stream(spec, "age"), spec.age_weights, n),
         sex={"M": male, "F": every ^ male},
         outcome={"recovered": every ^ deceased, "deceased": deceased},
         lab_result={"pos": 0, "neg": 0},

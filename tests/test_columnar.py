@@ -463,3 +463,84 @@ def test_derive_error_after_a_late_blank_line_names_its_csv_line():
     with pytest.raises(SchemaError) as exc:
         derive_items(table, cfg, build_catalog(table, cfg))
     assert str(exc.value) == "row 4603: sex derivation enabled but sex missing"
+
+
+# ---------------------------------------------------------------- block reads
+
+
+def sources(text):
+    """``text`` as each kind of source the parser reads: the str itself, a
+    StringIO and a file over UTF-8 bytes, the latter two with newline=""."""
+    return [
+        text,
+        io.StringIO(text, newline=""),
+        io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=""),
+    ]
+
+
+def first_read_end(text, chunk_rows):
+    """Where the first block's ``read`` stops: after the header line, the
+    line after it, and chunk_rows times that line's length."""
+    lines = io.StringIO(text, newline="").readlines()
+    return len(lines[0]) + (1 + chunk_rows) * len(lines[1])
+
+
+@pytest.mark.parametrize("source", range(3), ids=["str", "stringio", "file"])
+def test_crlf_split_by_a_block_read_is_one_line_end(source):
+    rows = ["5,1", "5,1", "50,1"] + [f"{t},{t % 2}" for t in range(10, 19)]
+    rows[8] = "16,2"  # on line 10
+    text = "age,f\r\n" + "".join(row + "\r\n" for row in rows)
+    end = first_read_end(text, 2)
+    assert text[end - 1 : end + 1] == "\r\n"  # the read stops between the CR and the LF
+    with patch.object(ingest, "CHUNK_ROWS", 2):
+        with pytest.raises(ParseError, match="^row 10, column f: expected 0 or 1, got '2'$"):
+            parse_patient_csv(sources(text)[source])
+        good = text.replace("16,2", "16,0")
+        table = parse_patient_csv(sources(good)[source])
+    assert isinstance(table.lines, range) and parsed(table) == rowwise_parse(good)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_blank_lines_at_block_boundaries_keep_their_line_numbers(eol):
+    rows = [f"{t % 90},{t % 2}" for t in range(14)]
+    end = first_read_end("age,f\n" + "\n".join(rows), 2)
+    # the block's read ends on a line end, so a blank line there ends the
+    # block (read by readline) and one line later starts the next block
+    assert ("age,f\n" + "\n".join(rows) + "\n")[end - 1] == "\n"
+    for k in range(len(rows) + 1):
+        lines = [*rows[:k], "", *rows[k:]]
+        lines[-2] = "1,x"  # a bad cell after the blank line
+        text = "age,f" + eol + eol.join(lines) + eol
+        for source in sources(text):
+            with patch.object(ingest, "CHUNK_ROWS", 2):
+                got = outcome_of(lambda: parsed(parse_patient_csv(source)))
+            assert got == outcome_of(lambda: rowwise_parse(text))
+            assert got[1].startswith(f"row {len(lines)}, column f:")
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 4])
+def test_quoted_record_in_the_middle_of_a_block(chunk_rows):
+    rows = ["p1,5,1", "p2,6,0", '"p\n3",7,1', "p4,8,0", "p5,9,1", "p6,10,0", "p7,11,1"]
+    text = "id,age,f\n" + "\n".join(rows) + "\n"
+    assert text.index('"') < first_read_end(text, chunk_rows)  # mid-block, after two rows
+    for source in sources(text):
+        with patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            table = parse_patient_csv(source)
+        assert parsed(table) == rowwise_parse(text)
+        assert list(table.lines) == [2, 3, 4, 6, 7, 8, 9]
+    bad = text.replace("p6,10,0", "p6,-1,0")
+    for source in sources(bad):
+        with patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            with pytest.raises(ParseError, match="^row 8, column age: negative age -1$"):
+                parse_patient_csv(source)
+
+
+def test_blocks_are_sized_by_the_lines_read_not_the_first_line():
+    # a blank first line must not shrink every later block to a few rows
+    text = "age,f\n\n" + "".join(f"{t % 90},{t % 2}\n" for t in range(40))
+    with (
+        patch.object(ingest, "CHUNK_ROWS", 4),
+        patch.object(ingest, "_chunk_columns", wraps=ingest._chunk_columns) as chunk_columns,
+    ):
+        assert parsed(parse_patient_csv(text)) == rowwise_parse(text)
+    assert chunk_columns.call_count <= 40 // 4 + 2

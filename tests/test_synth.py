@@ -1,10 +1,17 @@
+import hashlib
 import math
+import random
+from itertools import accumulate
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from rulemine.cli import main
 from rulemine.errors import ConfigError
 from rulemine.ingest import AGE_BUCKETS, parse_patient_csv, serialize_patient_csv
 from rulemine.synth import CohortSpec, generate_cohort
+from test_report_bytes import SYNTH_ARGV
 
 
 def _fraction(table, name):
@@ -123,3 +130,48 @@ class TestValidation:
     def test_bad_spec_value(self, fields, message):
         with pytest.raises(ConfigError, match=message):
             generate_cohort(CohortSpec(**({"n": 10, "marginals": {"a": 0.5}} | fields)))
+
+
+# Draws use only random() and getrandbits() of each substream, so these
+# bytes hold on every supported Python; CI checks the paper cohort's
+# digest on 3.10 and 3.13.
+@pytest.mark.parametrize("extra, digest", [
+    ([], "e48ada23bc4898be43d64606ad101dfde81c89a4fa85f1bddd4692ef1dc66d1e"),
+    (["--age-weights", "<20=0,20-40=0.5,40-60=0,>60=0.5"],
+     "a63fa0d111b8bf56e942d34ff301787347ca4e4d1a38c63a2b26756e3ac049a2"),
+    (["--n", "0"], "33000b815767dd26144d90fd8f9c2ed9ae046354750f8aba4a5f402ac82bcede"),
+    (["--n", "1"], "110c01690e5d78c01b0283423ddeb337be77c0ca8c60d8df2b36c574f2d5f28d"),
+], ids=["paper", "zero_age_weights", "n0", "n1"])
+def test_synth_bytes_are_pinned(tmp_path, extra, digest):
+    out = tmp_path / "cohort.csv"
+    assert main([*SYNTH_ARGV, *extra, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def stdlib_ages(rng, age_weights, n):
+    """The age draws as ``random.choices`` and ``random.randint`` make them."""
+    buckets = [bucket for bucket, _ in age_weights]
+    cum_weights = list(accumulate(w for _, w in age_weights))
+    ages = []
+    for _ in range(n):
+        lo, hi = AGE_BUCKETS[rng.choices(buckets, cum_weights=cum_weights)[0]]
+        ages.append(rng.randint(lo, min(hi - 1, 100)))
+    return ages
+
+
+@st.composite
+def age_weights(draw):
+    """Some of the buckets in any order, weights summing to 1, zeros allowed."""
+    buckets = draw(st.permutations(list(AGE_BUCKETS)))[: draw(st.integers(1, 4))]
+    raw = draw(st.lists(st.floats(0, 1), min_size=len(buckets), max_size=len(buckets)))
+    assume(sum(raw) > 0)
+    weights = [(bucket, w / sum(raw)) for bucket, w in zip(buckets, raw)]
+    assume(abs(sum(w for _, w in weights) - 1.0) <= 1e-9)
+    return weights
+
+
+@given(st.integers(0, 2**64), age_weights(), st.integers(0, 300))
+def test_ages_are_the_stdlib_draws(seed, age_weights, n):
+    spec = CohortSpec(n=n, marginals={}, age_weights=age_weights, seed=seed)
+    expected = stdlib_ages(random.Random(f"{seed}/age"), age_weights, n)
+    assert generate_cohort(spec).age == expected
