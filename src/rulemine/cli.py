@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain
 
@@ -21,6 +22,7 @@ from .errors import ConfigError, RuleMineError, UndefinedMetricError
 from .features import item_frequencies, project, select_features, union_features
 from .ingest import (
     _COHORTS,
+    RESERVED_COLUMNS,
     CohortSelector,
     DerivationConfig,
     build_catalog,
@@ -29,7 +31,7 @@ from .ingest import (
     drop_sparse_patients,
     filter_cohort,
     parse_patient_csv,
-    serialize_patient_csv,
+    patient_csv_blocks,
 )
 from .rules import MetricSet, RuleSet, generate_rules
 
@@ -160,6 +162,15 @@ def _fields_arg(sep: str, metavar: str, last):
     return parse
 
 
+def _marginal_arg(s: str) -> tuple[str, float]:
+    """A synth column's ``NAME=FRACTION``; NAME is neither empty nor a
+    reserved column, which the CSV would then hold twice or not as a symptom."""
+    name, p = _fields_arg("=", "NAME=FRACTION", _float01_arg)(s)
+    if not name or name in RESERVED_COLUMNS:
+        raise argparse.ArgumentTypeError(f"NAME must be non-empty and not reserved: {s!r}")
+    return name, p
+
+
 def _age_weights_arg(s: str) -> list[tuple[str, float]]:
     return list(map(_fields_arg("=", "BUCKET=W", _number_arg(float, 0)), s.split(",")))
 
@@ -262,15 +273,16 @@ def _load_items(args):
     return table, cfg, catalog, derive_items(table, cfg, catalog)
 
 
-def _write_output(args, text: str) -> None:
+def _write_output(args, blocks: Iterable[str]) -> None:
+    """Write the text ``blocks``, each as it comes, to ``--output`` or stdout."""
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
         except OSError as exc:
             raise RuleMineError(f"cannot write output file {args.output}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _cmd_freq(args) -> int:
@@ -279,7 +291,7 @@ def _cmd_freq(args) -> int:
     n, counts = freq.n_transactions, freq.counts
     # int / int is correctly rounded: the float of the exact fraction
     rows = [(catalog.name_of(i), counts[i], repr(counts[i] / n)) for i in freq.ranked()]
-    _write_output(args, csv_text([("item", "count", "fraction"), *rows]))
+    _write_output(args, [csv_text([("item", "count", "fraction"), *rows])])
     return 0
 
 
@@ -288,7 +300,7 @@ def _cmd_select(args) -> int:
     symptom_ids = [catalog.id_of(c) for c in table.symptom_columns]
     freq = item_frequencies(project(ts, symptom_ids))
     selected = select_features(freq, args.threshold)
-    _write_output(args, "".join(catalog.name_of(i) + "\n" for i in selected))
+    _write_output(args, [catalog.name_of(i) + "\n" for i in selected])
     return 0
 
 
@@ -353,7 +365,7 @@ def _rules(fi, mcfg: MiningConfig, catalog: ItemCatalog) -> RuleSet:
 def _cmd_mine(args) -> int:
     catalog, ts, mcfg = _run_pipeline(args)
     rs = _rules(mine_frequent(ts, mcfg), mcfg, catalog)
-    _write_output(args, emit_report(rs, catalog, args.format))
+    _write_output(args, [emit_report(rs, catalog, args.format)])
     return 0
 
 
@@ -369,8 +381,7 @@ def _cmd_synth(args) -> int:
         planted_pairs=args.planted,
         seed=args.seed,
     )
-    table = generate_cohort(spec)
-    _write_output(args, serialize_patient_csv(table))
+    _write_output(args, patient_csv_blocks(generate_cohort(spec)))
     return 0
 
 
@@ -393,8 +404,8 @@ def _cmd_verify(args) -> int:
         return 1
     _write_output(
         args,
-        f"OK: {len(fi.counts)} frequent itemsets, {len(rs.rules)} rules "
-        "match the brute-force oracle\n",
+        [f"OK: {len(fi.counts)} frequent itemsets, {len(rs.rules)} rules "
+         "match the brute-force oracle\n"],
     )
     return 0
 
@@ -458,7 +469,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("synth", help="generate a synthetic cohort CSV")
     p.add_argument("--n", type=_number_arg(int, 0), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--marginal", type=_fields_arg("=", "NAME=FRACTION", _float01_arg),
+    p.add_argument("--marginal", type=_marginal_arg,
                    action="append", default=[], metavar="NAME=FRACTION")
     p.add_argument("--planted", type=_fields_arg(",", "A,B,JOINT", _float01_arg),
                    action="append", default=[], metavar="A,B,JOINT")

@@ -66,6 +66,7 @@ RESERVED_COLUMNS = ("id", *_ITEMS)
 _COHORTS = ("all", *_ITEMS["outcome"], "age_range")
 
 CHUNK_ROWS = 4096  # about this many CSV rows are read and turned into columns at a time
+WRITE_ROWS = 1 << 13  # rows of CSV text patient_csv_blocks writes at a time; a multiple of 8
 
 
 # one row of a PatientTable, built on access by PatientTable.rows
@@ -442,42 +443,57 @@ def _first_error(chunk: list, lines: Sequence[int], header: list[str]) -> RuleMi
 
 
 def serialize_patient_csv(table: PatientTable) -> str:
-    """Inverse of parse_patient_csv for the columns the table carries.
+    """Inverse of parse_patient_csv for the columns the table carries: the
+    text of ``patient_csv_blocks``, joined."""
+    return "".join(patient_csv_blocks(table))
 
-    Each row is the text of its reserved cells, then its symptom flags,
-    which are written into one buffer of equal-width row tails by strided
-    slices, one per symptom column.
+
+def patient_csv_blocks(table: PatientTable) -> Iterator[str]:
+    """The CSV of ``table`` in pieces: the header line, then the lines of
+    WRITE_ROWS rows at a time, so the whole text is never held.
+
+    Each row is the text of its reserved cells, then its symptom flags.
+    A block's flags are written into one buffer of equal-width row tails
+    by strided slices, one per symptom column, and each row's reserved
+    cells, the commas between them and its tail are joined in one call.
     """
     n = len(table)
     header: list[str] = []
-    cells: list[Iterable[str]] = []  # each reserved column's cell text, row by row
+    columns: list[tuple[dict, Sequence]] = []  # each reserved column's (cell text, values)
     if table.age.count(None) < n:
         header.append("age")
-        text = {a: "" if a is None else str(a) for a in set(table.age)}
-        cells.append(map(text.__getitem__, table.age))
+        columns.append(({a: "" if a is None else str(a) for a in set(table.age)}, table.age))
     for name, by_code in _CODED.items():
         rows = getattr(table, name)
         if any(rows.values()):
             header.append(name)
-            text = ["", *by_code[1:]]
-            cells.append(map(text.__getitem__, _codes_of(rows, n)))
+            columns.append((dict(enumerate(["", *by_code[1:]])), _codes_of(rows, n)))
     width = len(header) + len(table.covers)  # cells per row
     header.extend(table.symptom_columns)
+    yield csv_text([header])
     if not width:
-        return csv_text([header])
-    if width == 1 and cells:  # csv writes a row of one empty field as ""
-        cells = [(v or '""' for v in cells[0])]
+        return
+    if width == 1 and columns:  # csv writes a row of one empty field as ""
+        text, values = columns[0]
+        columns = [({v: cell or '""' for v, cell in text.items()}, values)]
 
-    lead = 1 if cells else 0  # the comma after the reserved cells
+    lead = 1 if columns else 0  # the comma after the reserved cells
     step = lead + 2 * len(table.covers)  # one row's tail: its flags and line end
-    tails = bytearray(b",") * (step * n)
-    tails[step - 1 :: step] = b"\n" * n
-    for j, bits in enumerate(table.covers):
-        tails[lead + 2 * j :: step] = bits_to_flags(bits, n).encode()
-    body = tails.decode()
-    if cells:
-        body = "".join(map(str.__add__, map(",".join, zip(*cells)), body.splitlines(True)))
-    return csv_text([header]) + body
+    covers = [bits.to_bytes(-(-n // 8), "little") for bits in table.covers]  # row t: bit t
+    for start in range(0, n, WRITE_ROWS):
+        size = min(WRITE_ROWS, n - start)
+        tails = bytearray(b",") * (step * size)
+        tails[step - 1 :: step] = b"\n" * size
+        for j, cover in enumerate(covers):
+            block = int.from_bytes(cover[start // 8 : (start + size + 7) // 8], "little")
+            tails[lead + 2 * j :: step] = bits_to_flags(block, size).encode()
+        if not columns:
+            yield tails.decode()
+            continue
+        cells = [map(text.__getitem__, values[start : start + size]) for text, values in columns]
+        # each row: its first reserved cell, then a comma and a cell per column, then its tail
+        row_parts = [cells[0], *chain.from_iterable((repeat(","), c) for c in cells[1:])]
+        yield "".join(chain.from_iterable(zip(*row_parts, tails.decode().splitlines(True))))
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:

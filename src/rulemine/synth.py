@@ -8,17 +8,31 @@ and ``getrandbits()`` of each substream: Python promises to keep the
 sequence of ``random()`` across versions, ``getrandbits(k)`` for k <= 32
 is the generator's next 32-bit word shifted right, and ``choices`` and
 ``randint``, which carry no such promise, are not called.
+
+A symptom, sex or outcome column takes one ``random()`` per row: row t
+has the value when its uniform is below the column's fraction. A planted
+pair cuts two columns from the same uniforms. The uniforms are not drawn
+one call at a time: one ``getrandbits(64 * B)`` returns the 2B words that
+B calls of ``random()`` would read, and ``_draw`` decides the rows from
+those words; its docstring shows why every row gets the flag that
+comparing its ``random()`` would give.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect
 from itertools import accumulate
 
 from .core import Record, flags_to_bits
 from .errors import ConfigError
-from .ingest import AGE_BUCKETS, PatientTable
+from .ingest import AGE_BUCKETS, RESERVED_COLUMNS, PatientTable
+
+BLOCK_ROWS = 1 << 13  # rows drawn per getrandbits call, 8 bytes of words each
+_UNIT = 1 << 53  # random() is m / _UNIT for an integer m in [0, _UNIT)
+_TOP = 45  # m >> _TOP is the top byte of the row's first word
+_TIE = ord("?")  # a row whose top byte does not decide it
 
 
 class CohortSpec(Record):
@@ -52,6 +66,8 @@ def _validate(spec: CohortSpec) -> None:
     if spec.n < 0:
         raise ConfigError("n must be >= 0")
     for name, p in spec.marginals.items():
+        if not name or name in RESERVED_COLUMNS:
+            raise ConfigError(f"marginal name must be non-empty and not reserved, got {name!r}")
         if not 0 <= p <= 1:
             raise ConfigError(f"marginal for {name} must be in [0,1], got {p}")
     for label, frac in (("mortality", spec.mortality), ("male_fraction", spec.male_fraction)):
@@ -96,10 +112,70 @@ def _stream(spec: CohortSpec, column: str) -> random.Random:
     return random.Random(f"{spec.seed}/{column}")
 
 
-def _flags(rng: random.Random, p: float, n: int) -> str:
-    """n rows, row 0 first: '1' where the row's uniform is below p, else '0'."""
-    random_ = rng.random
-    return "".join(["1" if random_() < p else "0" for _ in range(n)])
+def _cut(x: float) -> int:
+    """ceil(x * 2**53) held to [0, 2**53]: for an integer m in that range,
+    m / 2**53 < x exactly when m < _cut(x). (x * 2**53 is exact.)"""
+    return min(max(math.ceil(x * _UNIT), 0), _UNIT)
+
+
+def _below(x: float) -> tuple[int, int]:
+    """The interval of m where ``random() < x``."""
+    return (0, _cut(x))
+
+
+def _decisions(intervals: list[tuple[int, int]]) -> bytes:
+    """The ``bytes.translate`` table of a column: each top byte t of m to
+    '1' when [t << 45, (t + 1) << 45) lies in one of ``intervals``, else
+    to ``_TIE`` when it meets one of them, else to '0'."""
+    table = bytearray(b"0" * 256)
+    for lo, hi in intervals:  # the top bytes whose range meets [lo, hi)
+        if lo < hi:
+            first, end = lo >> _TOP, -(-hi >> _TOP)
+            table[first:end] = bytes([_TIE]) * (end - first)
+    for lo, hi in intervals:  # the top bytes whose range lies in [lo, hi)
+        first, end = -(-lo >> _TOP), hi >> _TOP
+        table[first:end] = b"1" * max(end - first, 0)
+    return bytes(table)
+
+
+def _draw(rng: random.Random, n: int, columns: list[list[tuple[int, int]]]) -> list[int]:
+    """The row bitset of each column over the next n ``random()`` calls of
+    ``rng``: row t is in a column when the t-th call's m lies in one of
+    the column's half-open intervals [lo, hi) of integers.
+
+    ``random()`` reads two 32-bit words w0, w1 and returns m / 2**53 with
+    m = (w0 >> 5) * 2**26 + (w1 >> 6), a float that is exact since
+    m < 2**53. So ``random() < x`` holds exactly when m < ``_cut(x)``,
+    and ``x <= random()`` exactly when m >= ``_cut(x)``.
+
+    ``getrandbits(64 * B)`` reads the same 2B words as B calls of
+    ``random()``, the first word least significant, and leaves the
+    generator where those calls would; one call per block of BLOCK_ROWS
+    rows reads the same words as one call for all of them. In its
+    little-endian bytes, row r's w0 is bytes 8r..8r+3, so byte 8r + 3
+    (``words[3::8]``) is w0 >> 24, which is m >> 45: the row's m lies in
+    [t << 45, (t + 1) << 45) for that top byte t. One ``bytes.translate``
+    (``_decisions``) decides each row whose top byte's range lies inside
+    one interval or outside all of them. An interval end falls in at most
+    one top byte's range, so about 1 row in 256 per end is left tied, and
+    only those rows compute m from their two words.
+    """
+    tables = [_decisions(intervals) for intervals in columns]
+    flags: list[list[bytes]] = [[] for _ in columns]  # each column's blocks, row 0 first
+    for start in range(0, n, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, n - start)
+        words = rng.getrandbits(64 * rows).to_bytes(8 * rows, "little")
+        top = words[3::8]
+        for intervals, table, blocks in zip(columns, tables, flags):
+            block = bytearray(top.translate(table))
+            r = block.find(_TIE)
+            while r >= 0:
+                w = int.from_bytes(words[8 * r : 8 * r + 8], "little")  # w1 << 32 | w0
+                m = (w & 0xFFFFFFFF) >> 5 << 26 | w >> 38
+                block[r] = 0x31 if any(lo <= m < hi for lo, hi in intervals) else 0x30
+                r = block.find(_TIE, r + 1)
+            blocks.append(block)
+    return [flags_to_bits(b"".join(blocks)) for blocks in flags]
 
 
 def _ages(rng: random.Random, age_weights: list[tuple[str, float]], n: int) -> list[int]:
@@ -135,27 +211,28 @@ def generate_cohort(spec: CohortSpec) -> PatientTable:
     n = spec.n
     symptom_columns = list(spec.marginals)
 
-    columns: dict[str, str] = {}  # '0'/'1' flags per symptom, row 0 first
+    covers: dict[str, int] = {}  # each symptom's row bitset
     for a, b, joint in spec.planted_pairs:
         p_a, p_b = spec.marginals[a], spec.marginals[b]
-        # 2x2 joint from one uniform per row: P(11)=joint, P(10)=p_a-joint, P(01)=p_b-joint
-        random_ = _stream(spec, f"pair:{a}+{b}").random
-        us = [random_() for _ in range(n)]
-        columns[a] = "".join(["1" if u < joint or u < p_a else "0" for u in us])
-        columns[b] = "".join(
-            ["1" if u < joint or p_a <= u < p_a + p_b - joint else "0" for u in us]
-        )
+        # 2x2 joint from one uniform u per row: P(11)=joint, P(10)=p_a-joint,
+        # P(01)=p_b-joint; a is u < joint or u < p_a, b is u < joint or
+        # p_a <= u < p_a + p_b - joint
+        covers[a], covers[b] = _draw(_stream(spec, f"pair:{a}+{b}"), n, [
+            [_below(max(joint, p_a))],
+            [_below(joint), (_cut(p_a), _cut(p_a + p_b - joint))],
+        ])
     for name in symptom_columns:
-        if name not in columns:
-            columns[name] = _flags(_stream(spec, f"symptom:{name}"), spec.marginals[name], n)
+        if name not in covers:
+            stream = _stream(spec, f"symptom:{name}")
+            [covers[name]] = _draw(stream, n, [[_below(spec.marginals[name])]])
 
     every = (1 << n) - 1
-    male = flags_to_bits(_flags(_stream(spec, "sex"), spec.male_fraction, n))
-    deceased = flags_to_bits(_flags(_stream(spec, "outcome"), spec.mortality, n))
+    [male] = _draw(_stream(spec, "sex"), n, [[_below(spec.male_fraction)]])
+    [deceased] = _draw(_stream(spec, "outcome"), n, [[_below(spec.mortality)]])
 
     return PatientTable(
         symptom_columns,
-        covers=[flags_to_bits(columns[name]) for name in symptom_columns],
+        covers=[covers[name] for name in symptom_columns],
         age=_ages(_stream(spec, "age"), spec.age_weights, n),
         sex={"M": male, "F": every ^ male},
         outcome={"recovered": every ^ deceased, "deceased": deceased},

@@ -675,6 +675,7 @@ class TestFlagValues:
     @pytest.mark.parametrize("flag,value", [
         ("--marginal", "foo"), ("--marginal", "a=1.5"), ("--planted", "a,b"),
         ("--planted", "a,b,x"), ("--age-weights", "x"), ("--age-weights", "<20=-1"),
+        ("--marginal", "age=0.5"), ("--marginal", "id=0.5"), ("--marginal", "=0.5"),
     ])
     def test_bad_synth_value_is_usage_error(self, capsys, flag, value):
         err = _usage_error(capsys, ["synth", "--n", "5", "--marginal", "a=0.5",

@@ -30,6 +30,7 @@ from rulemine.ingest import (
     drop_sparse_patients,
     filter_cohort,
     parse_patient_csv,
+    patient_csv_blocks,
     serialize_patient_csv,
 )
 from rulemine.synth import CohortSpec, generate_cohort
@@ -427,6 +428,11 @@ def test_serialize_matches_csv_writer(text, sel, spec):
         pass
     for t in tables:
         assert serialize_patient_csv(t) == rowwise_serialize(t)
+        with patch.object(ingest, "WRITE_ROWS", 8):  # blocks of 8 rows join to the same text
+            blocks = list(patient_csv_blocks(t))
+        rows = 0 if blocks[0] == "\n" else len(t)  # a table with no columns writes no rows
+        assert len(blocks) == 1 + (rows + 7) // 8
+        assert "".join(blocks) == rowwise_serialize(t)
 
 
 @pytest.mark.parametrize("header", [
