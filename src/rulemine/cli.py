@@ -372,9 +372,14 @@ def _cmd_mine(args) -> int:
 def _cmd_synth(args) -> int:
     from .synth import CohortSpec, generate_cohort
 
+    marginals = {}
+    for name, p in args.marginal:
+        if name in marginals:
+            raise ConfigError(f"--marginal {name} given twice")
+        marginals[name] = p
     spec = CohortSpec(
         n=args.n,
-        marginals=dict(args.marginal),
+        marginals=marginals,
         mortality=args.mortality,
         male_fraction=args.male_fraction,
         age_weights=args.age_weights,
@@ -391,7 +396,8 @@ def _cmd_verify(args) -> int:
     catalog, ts, mcfg = _run_pipeline(args)
     # the whole lattice against the oracle's; the rules from the target's family
     fi = mine_frequent(ts, MiningConfig(**(vars(mcfg) | {"target_consequent": None})))
-    if fi.counts != oracle.brute_frequent(ts, mcfg.min_support, mcfg.max_len).counts:
+    lattice = oracle.brute_frequent(ts, mcfg.min_support, mcfg.max_len)
+    if fi.counts != lattice.counts:
         print("MISMATCH: frequent itemsets differ from brute-force oracle", file=sys.stderr)
         return 1
     family = mine_frequent(ts, mcfg) if mcfg.target_consequent else fi
@@ -399,7 +405,7 @@ def _cmd_verify(args) -> int:
         print("MISMATCH: targeted itemsets differ from the whole lattice", file=sys.stderr)
         return 1
     rs = _rules(family, mcfg, catalog)
-    if rs.rules != oracle.brute_rules(ts, mcfg).rules:
+    if rs.rules != oracle.brute_rules(lattice, mcfg).rules:
         print("MISMATCH: rule sets differ from brute-force oracle", file=sys.stderr)
         return 1
     _write_output(

@@ -77,7 +77,7 @@ class ItemCatalog:
 
 def bits_to_flags(bits: int, n: int) -> str:
     """The n low bits of ``bits`` as a '0'/'1' string, row 0 first."""
-    return format(bits, f"0{n}b")[::-1] if n else ""  # format(0, "00b") is "0"
+    return format(bits, f"0{n}b")[::-1][:n]
 
 
 def flags_to_bits(flags: str | bytes) -> int:

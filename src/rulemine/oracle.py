@@ -1,15 +1,17 @@
 """Brute-force reference miner for cross-checking the Apriori path.
 
-Everything here is deliberately naive: full enumeration of the itemset
-lattice and full transaction scans per itemset. The threshold predicates
-and the ranking are re-stated here on purpose (on exact Fraction metrics
-against the decimal threshold, not imported from the apriori or rules
-modules) so a threshold or ordering bug in either path shows up as a
-disagreement. The rules it returns carry the counts of its own scans.
+``brute_frequent`` makes the lattice by full enumeration, a subset test
+per itemset and distinct transaction; ``brute_rules`` reads that lattice's
+counts, as ``generate_rules`` reads ``mine_frequent``'s. The threshold
+predicates and the ranking are re-stated here on purpose (on exact
+Fraction metrics against the decimal threshold, not imported from the
+apriori or rules modules) so a threshold or ordering bug in either path
+shows up as a disagreement.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -32,32 +34,31 @@ def brute_frequent(
     ts: TransactionSet, min_support: float | Fraction, max_len: int | None = None
 ) -> FrequentItemsets:
     """Every frequent itemset of at most ``max_len`` items by exhaustive
-    lattice enumeration."""
+    lattice enumeration, each counted over the distinct transactions."""
     items = ts.item_ids()
     if len(items) > MAX_ORACLE_ITEMS:
         raise CapacityError(
             f"oracle refuses {len(items)} items (limit {MAX_ORACLE_ITEMS})"
         )
-    rows = ts.transactions()
-    n = len(rows)
+    rows = Counter(ts.transactions())
+    n = ts.n_transactions
     cut = _decimal(min_support)
     counts = {}
     for k in range(1, (max_len or len(items)) + 1):
         for combo in combinations(items, k):
             member = set(combo)
-            count = sum(1 for row in rows if member <= row)
+            count = sum(w for row, w in rows.items() if member <= row)
             if Fraction(count, n) >= cut:
                 counts[combo] = count
     return FrequentItemsets(counts, n)
 
 
-def brute_rules(ts: TransactionSet, cfg: MiningConfig) -> RuleSet:
-    """All rules over the brute-forced frequent itemsets, filtered on exact
+def brute_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
+    """All rules over ``brute_frequent``'s lattice, filtered on exact
     metrics and ranked by descending support, then descending confidence,
-    then antecedent and consequent lexicographically."""
-    fi = brute_frequent(ts, cfg.min_support, cfg.max_len)
-    rows = ts.transactions()
-    n = len(rows)
+    then antecedent and consequent lexicographically. The lattice lists
+    each part of an itemset too, as a subset has at least its support."""
+    n = fi.n_transactions
     min_confidence = _decimal(cfg.min_confidence)
     min_lift = _decimal(cfg.min_lift)
     ranked = []
@@ -67,11 +68,7 @@ def brute_rules(ts: TransactionSet, cfg: MiningConfig) -> RuleSet:
                 cons = tuple(i for i in z if i not in ant)
                 if cfg.target_consequent is not None and cons != tuple(cfg.target_consequent):
                     continue
-                # counts recomputed by direct scan, independent of fi
-                ant_set, cons_set, z_set = set(ant), set(cons), set(z)
-                c_z = sum(1 for row in rows if z_set <= row)
-                c_a = sum(1 for row in rows if ant_set <= row)
-                c_c = sum(1 for row in rows if cons_set <= row)
+                c_z, c_a, c_c = fi.counts[z], fi.counts[ant], fi.counts[cons]
                 m = metrics(Fraction(c_z, n), Fraction(c_a, n), Fraction(c_c, n))
                 if m.confidence >= min_confidence and m.lift > min_lift:
                     key = (-m.support, -m.confidence, ant, cons)

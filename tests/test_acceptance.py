@@ -147,7 +147,7 @@ def test_criterion_3_oracle_equivalence():
             failures.append(f"case {case}: frequent itemsets diverge (min_support {min_support})")
             break
         fast_rules = generate_rules(fast_fi, cfg)
-        slow_rules = brute_rules(ts, cfg)
+        slow_rules = brute_rules(slow_fi, cfg)
         if fast_rules.rules != slow_rules.rules:
             failures.append(f"case {case}: rule sets diverge (min_support {min_support})")
             break

@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +298,18 @@ class TestSynthCommand:
         out = capsys.readouterr()
         assert (rc, out.out, out.err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("config", ["", "marginal=a=0.0\n"])
+    def test_marginal_named_twice_is_data_error(self, capsys, tmp_path, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        first = [] if config else ["--marginal", "a=0.0"]
+        csv_path = tmp_path / "cohort.csv"
+        rc = main(["synth", "--n", "3", "--config", str(cfg), *first, "--marginal", "b=0.5",
+                   "--marginal", "a=1.0", "--output", str(csv_path)])
+        out = capsys.readouterr()
+        assert (rc, out.out, out.err) == (1, "", "error: --marginal a given twice\n")
+        assert not csv_path.exists()
+
 
 class TestVerifyCommand:
     def test_agreement(self, capsys, cohort_csv):
@@ -342,6 +355,17 @@ class TestVerifyPipeline:
         out = capsys.readouterr().out
         assert rc == 0, out
         assert out.startswith("OK: ") and " 0 rules" not in out
+
+    @pytest.mark.parametrize("target", [["--target-consequent", "Death"], []],
+                             ids=["targeted", "untargeted"])
+    def test_builds_the_oracle_lattice_once(self, capsys, synth_csv, target):
+        from rulemine import oracle
+
+        flags = PAPER_DEATH_FLAGS[:-2] + target
+        with patch.object(oracle, "brute_frequent", wraps=oracle.brute_frequent) as spy:
+            assert main(["verify", "--input", str(synth_csv), *flags]) == 0
+        assert capsys.readouterr().out.startswith("OK: ")
+        assert spy.call_count == 1
 
     def test_same_rules_as_mine(self, capsys, synth_csv):
         argv = ["--input", str(synth_csv), *PAPER_DEATH_FLAGS, "--max-len", "3"]

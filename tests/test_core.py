@@ -1,14 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rulemine.core import (
     ItemCatalog,
     TransactionSet,
+    bits_to_flags,
     canonical_itemset,
     cover_of,
+    flags_to_bits,
     support_of,
 )
 from rulemine.errors import ConfigError, InvalidItemError, UndefinedSupportError
@@ -119,6 +121,15 @@ class TestTransactionSet:
         rows = [{0, 1}, set(), {2}]
         ts = TransactionSet.from_transactions(rows, item_ids=range(3))
         assert ts.transactions() == [frozenset(r) for r in rows]
+
+
+@given(st.integers(min_value=0, max_value=(1 << 80) - 1), st.integers(min_value=0, max_value=70))
+@example(0b111, 2)  # bits at or above n are not flags
+@example(0b101, 0)
+def test_bits_to_flags_is_the_n_low_bits_row_0_first(bits, n):
+    flags = bits_to_flags(bits, n)
+    assert len(flags) == n
+    assert flags_to_bits(flags) == bits & ((1 << n) - 1)
 
 
 @given(transaction_sets(), st.data())

@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rulemine.apriori import MiningConfig, mine_frequent
 from rulemine.core import TransactionSet
@@ -11,6 +15,11 @@ from rulemine.rules import generate_rules
 from conftest import random_transaction_set
 
 TOY = TransactionSet.from_transactions([{0, 1}, {0, 2}, {0, 1}, {1}])
+
+
+def _oracle_rules(ts, cfg):
+    """The oracle's rules over its own lattice, never the miner's."""
+    return brute_rules(brute_frequent(ts, cfg.min_support, cfg.max_len), cfg)
 
 
 class TestBruteFrequent:
@@ -32,20 +41,35 @@ class TestBruteFrequent:
         with pytest.raises(CapacityError):
             brute_frequent(ts, 0.5)
 
+    @given(st.randoms(use_true_random=False), st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+           st.sampled_from([None, 1, 2, 3]))
+    def test_counts_match_a_row_scan(self, rng, min_support, max_len):
+        ts = random_transaction_set(rng, max_items=7, max_transactions=24)
+        rows = ts.transactions()
+        scan = {
+            z: sum(1 for row in rows if set(z) <= row)
+            for k in range(1, (max_len or ts.n_items) + 1)
+            for z in combinations(ts.item_ids(), k)
+        }
+        fi = brute_frequent(ts, min_support, max_len)
+        assert fi.n_transactions == len(rows)
+        cut = Fraction(str(min_support)) * len(rows)  # the decimal written, exactly
+        assert fi.counts == {z: c for z, c in scan.items() if c >= cut}
+
 
 class TestBruteRules:
     def test_matches_main_path_on_toy(self):
         cfg = MiningConfig(min_support=0.25, min_confidence=0.0, min_lift=0.0)
-        assert brute_rules(TOY, cfg).rules == generate_rules(mine_frequent(TOY, cfg), cfg).rules
+        assert _oracle_rules(TOY, cfg).rules == generate_rules(mine_frequent(TOY, cfg), cfg).rules
 
     def test_huge_min_lift_empties(self):
         cfg = MiningConfig(min_support=0.25, min_lift=1e9)
-        assert brute_rules(TOY, cfg).rules == []
+        assert _oracle_rules(TOY, cfg).rules == []
 
     def test_singleton_only_frequents(self):
         ts = TransactionSet.from_transactions([{0}, {1}, {0}, {1}])
         cfg = MiningConfig(min_support=0.5)
-        assert brute_rules(ts, cfg).rules == []
+        assert _oracle_rules(ts, cfg).rules == []
 
 
 def _rows(groups, n_items=2):
@@ -57,7 +81,7 @@ def _rows(groups, n_items=2):
 def _both_paths(ts, cfg):
     """Rule keys from the miner, after checking the oracle agrees."""
     fast = generate_rules(mine_frequent(ts, cfg), cfg)
-    assert fast.rules == brute_rules(ts, cfg).rules
+    assert fast.rules == _oracle_rules(ts, cfg).rules
     return {(r.antecedent, r.consequent) for r in fast}
 
 
@@ -87,7 +111,7 @@ class TestThresholdBoundaries:
 
 
 def _ranked_keys(ts, cfg=MiningConfig(min_support=0.1, min_lift=0.0)):
-    return [(r.antecedent, r.consequent) for r in brute_rules(ts, cfg)]
+    return [(r.antecedent, r.consequent) for r in _oracle_rules(ts, cfg)]
 
 
 class TestRanking:
@@ -112,10 +136,10 @@ class TestRanking:
         cfg = MiningConfig(min_support=0.1, min_lift=0.0)
         for _ in range(20):
             ts = random_transaction_set(rng, max_items=6, max_transactions=20)
-            rs = brute_rules(ts, cfg)
+            rs = _oracle_rules(ts, cfg)
             flipped = TransactionSet.from_transactions(
                 ts.transactions()[::-1], item_ids=ts.item_ids())
-            assert brute_rules(flipped, cfg).rules == rs.rules
+            assert _oracle_rules(flipped, cfg).rules == rs.rules
             keys = [(-m.support, -m.confidence, r.antecedent, r.consequent)
                     for r in rs for m in [rs.metrics(r)]]
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
@@ -128,7 +152,7 @@ def test_zero_support_with_absent_item_is_undefined(target):
     with pytest.raises(UndefinedMetricError):
         generate_rules(mine_frequent(ts, cfg), cfg)
     with pytest.raises(UndefinedMetricError):
-        brute_rules(ts, cfg)
+        _oracle_rules(ts, cfg)
 
 
 def test_randomized_agreement():
@@ -138,4 +162,4 @@ def test_randomized_agreement():
         min_support = rng.choice([0.05, 0.1, 0.2, 0.3, 0.5])
         cfg = MiningConfig(min_support=min_support)
         assert mine_frequent(ts, cfg).counts == brute_frequent(ts, min_support).counts
-        assert generate_rules(mine_frequent(ts, cfg), cfg).rules == brute_rules(ts, cfg).rules
+        assert generate_rules(mine_frequent(ts, cfg), cfg).rules == _oracle_rules(ts, cfg).rules
