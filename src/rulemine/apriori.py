@@ -14,6 +14,11 @@ contain T, Z minus T and T (the class-rule setting of CBA, Liu, Hsu & Ma
 cover ANDed with cover(T) and at most max_len - |T| deep: every X it
 finds is recorded as X∪T with that count, and as X with its own count.
 
+After a drop the covers keep the parse's row numbers; when over a
+quarter of the rows are gone, the miner renumbers the kept ones once
+(``TransactionSet.compact``) so each AND costs the kept rows, not the
+parse's width.
+
 ``generate_candidates`` is Apriori's level-wise join and prune. The miner
 does not use it; it stays as the reference the tests and the bench's
 candidate counter use. ``min_count`` is the one threshold predicate: it
@@ -127,6 +132,10 @@ def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
     n = ts.n_transactions
     if n == 0:
         raise UndefinedSupportError("cannot mine an empty transaction set")
+    if 4 * n < 3 * ts.rows.bit_length():
+        # over a quarter of the rows were dropped: renumber them once rather
+        # than pay the parse's width in every AND below
+        ts = ts.compact()
     need = min_count(cfg.min_support)(n)
     max_len = cfg.max_len or ts.n_items
     target = cfg.target_consequent or ()

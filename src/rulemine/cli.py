@@ -394,9 +394,10 @@ def _cmd_verify(args) -> int:
     from . import oracle
 
     catalog, ts, mcfg = _run_pipeline(args)
-    # the whole lattice against the oracle's; the rules from the target's family
-    fi = mine_frequent(ts, MiningConfig(**(vars(mcfg) | {"target_consequent": None})))
+    # the oracle first, as it refuses too many items before any work; then the
+    # whole lattice against the oracle's, and the rules from the target's family
     lattice = oracle.brute_frequent(ts, mcfg.min_support, mcfg.max_len)
+    fi = mine_frequent(ts, MiningConfig(**(vars(mcfg) | {"target_consequent": None})))
     if fi.counts != lattice.counts:
         print("MISMATCH: frequent itemsets differ from brute-force oracle", file=sys.stderr)
         return 1

@@ -3,10 +3,12 @@
 Itemsets are plain tuples of item ids in strictly increasing order (the
 canonical form); tuple equality and ordering then coincide with itemset
 equality and a total order. Transaction covers are stored one Python int
-per item, bit t set when transaction t contains the item, so itemset
+per item, bit t set when row t contains the item, so itemset
 support is a chain of ``&`` plus ``bit_count()``. Converting a bitset to
 and from one '0'/'1' byte per row (``format``, ``int(..., 2)``,
-``int.from_bytes``) is how rows are selected and dropped in linear time.
+``int.from_bytes``) is how rows are selected and renumbered in linear
+time. A TransactionSet drops rows by restricting its row set, which is
+one AND per cover and renumbers nothing.
 ``Record`` is the base of the package's plain config and result classes.
 """
 
@@ -126,9 +128,15 @@ def canonical_itemset(items: Iterable[int]) -> Itemset:
 class TransactionSet:
     """Immutable binary transaction database in vertical (per-item) form.
 
-    ``covers`` maps item id -> bitset int over transaction indices. The
-    mapping is copied at construction and never mutated afterwards, so a
-    TransactionSet can be shared freely.
+    The transactions are the rows set in the bitset ``rows``, and
+    ``covers`` maps item id -> bitset int over those rows. The
+    ``(n_transactions, covers)`` constructor takes rows 0..n-1; ``restrict``
+    keeps a subset of them without renumbering, so after a drop each cover
+    still has the parse's row numbers and a row bitset taken before it
+    means the same rows. ``compact`` numbers the transactions 0..n-1 in
+    row order, as the horizontal views, ``transactions()`` and
+    ``cover_of``, do. The mapping is copied at construction and never
+    mutated afterwards, so a TransactionSet can be shared freely.
     """
 
     def __init__(self, n_transactions: int, covers: Mapping[int, int]):
@@ -141,6 +149,7 @@ class TransactionSet:
                     f"cover of item {item_id} references transactions"
                     f" >= {n_transactions}"
                 )
+        self._rows = full
         self._n = n_transactions
         self._covers = dict(covers)
 
@@ -170,6 +179,28 @@ class TransactionSet:
                     raise InvalidItemError(f"transaction {t} uses unknown item id {i}") from None
         return cls(len(rows), {i: flags_to_bits(f) for i, f in flags.items()})
 
+    def restrict(self, rows: int, items: Iterable[int] | None = None) -> "TransactionSet":
+        """The transactions in both ``rows`` and this set, holding only
+        ``items`` (all of this set's by default): each cover ANDed with
+        the kept rows, no row renumbered."""
+        rows &= self._rows
+        ts = object.__new__(TransactionSet)
+        ts._rows = rows
+        ts._n = rows.bit_count()
+        ids = self._covers if items is None else items
+        ts._covers = {i: self.cover_bits(i) & rows for i in ids}
+        return ts
+
+    def compact(self) -> "TransactionSet":
+        """The same transactions, numbered 0..n-1 in row order."""
+        renumber = row_compactor(self._rows, self._rows.bit_length())
+        return TransactionSet(self._n, {i: renumber(b) for i, b in self._covers.items()})
+
+    @property
+    def rows(self) -> int:
+        """The bitset of the rows that are this set's transactions."""
+        return self._rows
+
     @property
     def n_transactions(self) -> int:
         return self._n
@@ -189,16 +220,17 @@ class TransactionSet:
 
     def transactions(self) -> list[frozenset[int]]:
         """Horizontal view: one frozenset of item ids per transaction."""
-        rows: list[set[int]] = [set() for _ in range(self._n)]
-        for item_id, bits in self._covers.items():
-            for t in compress(range(self._n), row_mask(bits, self._n)):
+        n = self._n
+        rows: list[set[int]] = [set() for _ in range(n)]
+        for item_id, bits in self.compact()._covers.items():
+            for t in compress(range(n), row_mask(bits, n)):
                 rows[t].add(item_id)
         return [frozenset(r) for r in rows]
 
 
 def cover_bits_of(ts: TransactionSet, s: Itemset) -> int:
-    """Bitset of transactions containing every item of s (all-ones for s=())."""
-    bits = (1 << ts.n_transactions) - 1
+    """Bitset of transactions containing every item of s (``ts.rows`` for s=())."""
+    bits = ts.rows
     for i in s:
         bits &= ts.cover_bits(i)
         if not bits:
@@ -207,9 +239,9 @@ def cover_bits_of(ts: TransactionSet, s: Itemset) -> int:
 
 
 def cover_of(ts: TransactionSet, s: Itemset) -> set[int]:
-    """Set of transaction indices containing every item of s."""
+    """Set of the transactions, numbered 0..n-1, containing every item of s."""
     n = ts.n_transactions
-    return set(compress(range(n), row_mask(cover_bits_of(ts, s), n)))
+    return set(compress(range(n), row_mask(cover_bits_of(ts.compact(), s), n)))
 
 
 def support_of(ts: TransactionSet, s: Itemset) -> Fraction:

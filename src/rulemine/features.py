@@ -22,10 +22,9 @@ class FrequencyMap(Record):
 def item_frequencies(ts: TransactionSet, rows: int | None = None) -> FrequencyMap:
     """Frequency of every item of ts, zero-frequency items included.
 
-    ``rows`` restricts the count to the transactions set in that bitset.
+    ``rows`` restricts the count to ts's transactions set in that bitset.
     """
-    if rows is None:
-        rows = (1 << ts.n_transactions) - 1
+    rows = ts.rows if rows is None else rows & ts.rows
     n = rows.bit_count()
     if n == 0:
         raise UndefinedSupportError("frequencies are undefined over an empty transaction set")
@@ -51,5 +50,4 @@ def union_features(a: list[int], b: list[int]) -> list[int]:
 
 def project(ts: TransactionSet, features: list[int]) -> TransactionSet:
     """TransactionSet restricted to the given item covers; rows unchanged."""
-    covers = {i: ts.cover_bits(i) for i in features}
-    return TransactionSet(ts.n_transactions, covers)
+    return ts.restrict(ts.rows, features)

@@ -13,12 +13,14 @@ sparse-patient drop work on whole columns, so every stage takes time
 linear in the number of cells. The per-row work runs inside str and bytes
 methods: a quote-free chunk, under any header, is cut by slicing each line
 before the symptoms after its last reserved column, which are then sliced
-into columns by character, and the heads are split at commas as one
-string, so no line becomes a list. The cells of a bitset column become
-one code byte per row, and its row bitsets come from ``bytes.translate``
-at the end of the parse; rows are dropped from a bitset with
-``core.row_compactor``. LF, CRLF and a lone CR each end a line, so a file
-with any of them takes that path. Row line numbers are an ``array`` only
+into columns by character; the heads' commas are counted in one
+``bytes.translate`` and the heads split at commas as one string, so no
+line becomes a list. The cells of a bitset column become one code byte
+per row, and its row bitsets come from ``bytes.translate`` at the end of
+the parse. A cohort filter drops rows from the table's bitsets with
+``core.row_compactor``; the sparse drop renumbers nothing, as it only
+restricts the TransactionSet's row set. LF, CRLF and a lone CR each end
+a line, so a file with any of them takes that path. Row line numbers are an ``array`` only
 from the first row that is not on line t + 2; before that they are a
 ``range``.
 
@@ -233,6 +235,7 @@ _CELLS = {
 # empty cell or an absent column) is 0, and the k-th value is k
 _CODED = {name: (None, *values) for name, values in _ITEMS.items() if name != "age"}
 _FLAG_CELLS = frozenset("01")
+_NOT_COMMA_OR_LF = bytes(b for b in range(256) if b not in b",\n")
 
 
 def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
@@ -274,7 +277,7 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
         got = _chunk_columns(chunk, header, lead)
         if got is None:
             raise _first_error(chunk, chunk_lines, header)
-        (chunk_ages, chunk_codes), chunk_flags = got
+        (chunk_ages, chunk_codes), chunk_covers = got
         t = len(ages)
         if line_numbers is None and (
             chunk_lines[0] != t + 2 or chunk_lines[-1] != t + 1 + len(chunk_lines)
@@ -287,9 +290,9 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
             codes[name] += coded
         r = t & 7  # rows already in the last byte
         size = (r + len(chunk_lines) + 7) >> 3
-        for cover, f in zip(covers, chunk_flags):
+        for cover, bits in zip(covers, chunk_covers):
             low = cover.pop() if r else 0
-            cover += (low | flags_to_bits(f) << r).to_bytes(size, "little")
+            cover += (low | bits << r).to_bytes(size, "little")
 
     values = {}
     for name, coded in codes.items():
@@ -357,17 +360,21 @@ def _chunks(fh: io.TextIOBase, line_num: int) -> Iterator[tuple[list, Sequence[i
 
 
 def _chunk_columns(chunk: list, header: list[str], lead: int):
-    """The reserved values and symptom flag strings of a chunk, or None
-    when a row is not one valid cell per ``header`` column.
+    """The reserved values and symptom row bitsets of a chunk (bit t for
+    its row t), or None when a row is not one valid cell per ``header``
+    column.
 
     A csv record comes split into cells. A quote-free line is cut before
     its last 2S characters, S being the number of symptoms after the last
     reserved column, so no line becomes a list: joined, those tails must
-    be S pairs of a comma and a 0 or 1 each, and symptom j's flags are
-    every S-th second character from 2j + 1. The heads must hold ``lead``
-    cells each; joined with commas and split, column k is every
-    ``lead``-th cell from k. Every symptom that is not in a tail is a
-    column of cells, each 0 or 1.
+    be S pairs of a comma and a 0 or 1 each. Their flags read backwards,
+    row n-1's last first, hold symptom j's as every S-th character from
+    S-1-j, which is its bitset in binary. The heads must hold ``lead``
+    cells each: joined with line ends, their commas and line ends must be
+    ``lead`` - 1 commas per head, checked in one ``bytes.translate``.
+    Joined with commas and split, column k is every ``lead``-th cell from
+    k. Every symptom that is not in a tail is a column of cells, each 0
+    or 1.
     """
     n = len(chunk)
     trailing = []
@@ -382,15 +389,19 @@ def _chunk_columns(chunk: list, header: list[str], lead: int):
             tails = "".join(map(itemgetter(slice(-2 * tail, None)), chunk))
         else:
             heads, tails = chunk, ""
-        flags = tails[1::2]
+        flags = tails[::-2]  # row n-1's last flag first
         if (len(tails) != 2 * tail * n or tails[::2] != "," * len(flags)
-                or flags.encode().translate(None, b"01")):
+                or flags.encode(errors="surrogatepass").translate(None, b"01")):
             return None
-        if heads and set(map(str.count, heads, repeat(","))) != {lead - 1}:
-            return None
+        if heads:
+            # UTF-8 puts no 0x2C or 0x0A inside a multi-byte character
+            text = "\n".join(heads).encode(errors="surrogatepass")
+            marks = b"," * (lead - 1)
+            if text.translate(None, _NOT_COMMA_OR_LF) != (marks + b"\n") * (n - 1) + marks:
+                return None
         cells = ",".join(heads).split(",")
         columns = [cells[k::lead] for k in range(lead)]
-        trailing = [flags[j::tail] for j in range(tail)]
+        trailing = [int(flags[tail - 1 - j :: tail], 2) for j in range(tail)]
     elif set(map(len, chunk)) == {len(header)}:
         columns = list(zip(*chunk))
     else:
@@ -398,8 +409,9 @@ def _chunk_columns(chunk: list, header: list[str], lead: int):
     leading = [column for name, column in zip(header, columns) if name not in RESERVED_COLUMNS]
     if not all(map(_FLAG_CELLS.issuperset, leading)):
         return None
+    leading = [flags_to_bits("".join(column)) for column in leading]
     try:
-        return _values(dict(zip(header, columns)), n), [*map("".join, leading), *trailing]
+        return _values(dict(zip(header, columns)), n), [*leading, *trailing]
     except ValueError:  # a bad reserved cell
         return None
 
@@ -596,18 +608,16 @@ def drop_sparse_patients(
     Derived demographic/outcome items never count toward the threshold;
     only ids listed in ``clinical_items`` do. Rows are counted bit-sliced,
     one cover at a time: O(len(clinical_items) * min_count) bitset ops.
+    The kept rows are a restriction of ``ts``: no row is renumbered.
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    n = ts.n_transactions
     # no row holds more than len(clinical_items) of them
     k = min(min_count, len(clinical_items) + 1)
     # at_least[j]: rows holding at least j of the clinical covers seen so far
-    at_least = [(1 << n) - 1] + [0] * k
+    at_least = [ts.rows] + [0] * k
     for i in clinical_items:
         bits = ts.cover_bits(i)
         for j in range(k, 0, -1):
             at_least[j] |= at_least[j - 1] & bits
-    compact = row_compactor(at_least[k], n)
-    covers = {i: compact(ts.cover_bits(i)) for i in ts.item_ids()}
-    return TransactionSet(at_least[k].bit_count(), covers)
+    return ts.restrict(at_least[k])

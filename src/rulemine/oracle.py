@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .apriori import FrequentItemsets, MiningConfig
 from .core import TransactionSet
-from .errors import CapacityError
+from .errors import CapacityError, UndefinedSupportError
 from .rules import Rule, RuleSet, metrics
 
 MAX_ORACLE_ITEMS = 24
@@ -40,8 +40,10 @@ def brute_frequent(
         raise CapacityError(
             f"oracle refuses {len(items)} items (limit {MAX_ORACLE_ITEMS})"
         )
-    rows = Counter(ts.transactions())
     n = ts.n_transactions
+    if n == 0:
+        raise UndefinedSupportError("cannot mine an empty transaction set")
+    rows = Counter(ts.transactions())
     cut = _decimal(min_support)
     counts = {}
     for k in range(1, (max_len or len(items)) + 1):

@@ -367,6 +367,16 @@ class TestVerifyPipeline:
         assert capsys.readouterr().out.startswith("OK: ")
         assert spy.call_count == 1
 
+    def test_refuses_too_many_items_before_mining(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        header = [f"s{j:02d}" for j in range(25)]
+        rows = [header, ["1"] * 25, ["0", "1"] * 12 + ["0"]]
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        with patch.object(cli, "mine_frequent") as miner:
+            rc = main(["verify", "--input", str(path), "--no-select"])
+        assert (rc, capsys.readouterr()) == (1, ("", "error: oracle refuses 25 items (limit 24)\n"))
+        miner.assert_not_called()
+
     def test_same_rules_as_mine(self, capsys, synth_csv):
         argv = ["--input", str(synth_csv), *PAPER_DEATH_FLAGS, "--max-len", "3"]
         assert main(["mine", *argv, "--format", "json"]) == 0

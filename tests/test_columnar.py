@@ -18,8 +18,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rulemine import ingest
-from rulemine.core import TransactionSet, canonical_itemset
+from rulemine.apriori import MiningConfig, mine_frequent
+from rulemine.core import TransactionSet, canonical_itemset, cover_of
 from rulemine.errors import ParseError, RuleMineError, SchemaError
+from rulemine.features import item_frequencies
 from rulemine.ingest import (
     CohortSelector,
     DerivationConfig,
@@ -33,6 +35,7 @@ from rulemine.ingest import (
     patient_csv_blocks,
     serialize_patient_csv,
 )
+from rulemine.rules import generate_rules
 from rulemine.synth import CohortSpec, generate_cohort
 
 RESERVED = ("id", "age", "sex", "outcome", "lab_result")
@@ -227,6 +230,12 @@ def parsed(table):
 @example('"a\nb",f\n1,0\n2,1\n', 4096, False)  # a bad cell after a header on lines 1-2
 @example("f,age,g,sex,h\n1,5,0,M,1\n0,6,1,F,2\n", 4096, False)  # a bad symptom after the reserved
 @example("f,age,g\n1,5,0\n2,6,1\n", 4096, False)  # a bad symptom before a reserved column
+# in one chunk (the first holds line 2 alone), a head with a comma too many and a later one
+# with one too few: the total count is right; in the second, each shifted cell is still valid
+@example("age,sex,f\n4,F,0\n5,M,,1\n6,0\n", 4096, False)
+@example("id,age,f\nb,4,0\na,5,x,1\n7,0\n", 4096, False)
+@example("id,age,f\nx,6,0\n\u00e9\u20ac\U0001f600,5,1\ny,7,1\n", 4096, False)  # a non-ASCII id
+@example("age,f\n5,\udc80\n", 4096, False)  # a lone surrogate in a symptom cell of a str source
 def test_parse_matches_rowwise(text, chunk_rows, stream):
     source = io.StringIO(text, newline="") if stream else text
     with patch.object(ingest, "CHUNK_ROWS", chunk_rows):
@@ -320,6 +329,63 @@ def test_drop_sparse_matches_rowwise(case):
     expected = [frozenset(r) for r in rows if len(r & set(clinical)) >= min_count]
     assert kept.n_transactions == len(expected)
     assert kept.transactions() == expected
+
+
+@st.composite
+def restrict_case(draw):
+    """Item rows, a keep bitset (bits past the last row included) and an item subset."""
+    m, rows = draw(ITEM_ROWS)
+    keep = draw(st.integers(0, (1 << len(rows) + 2) - 1))
+    return m, rows, keep, sorted(draw(st.sets(st.integers(0, m - 1))))
+
+
+@given(restrict_case(), st.sampled_from([0, 0.2, 0.5]))
+@example((3, [], 0b1, [0, 1]), 0.2)  # 0 rows
+@example((3, [{0, 1}, {1, 2}, {0, 2}], 0, [0, 1, 2]), 0.2)  # every row dropped
+@example((3, [{0, 1}, {1, 2}, {0, 2}], 0b111, []), 0.2)  # no item kept
+@example((3, [{0, 1}, {0, 1, 2}, {1}, {0, 2}], 0b1010, [0, 1, 2]), 0)  # zero counts
+# the miner renumbers the rows when over a quarter of the width is dropped, not otherwise
+@example((3, [{0, 1}, {0, 1}, {1, 2}, {0, 2}, {0, 1, 2}], 0b10001, [0, 1, 2]), 0.2)
+@example((3, [{0, 1}, {0, 1}, {1, 2}, {0, 2}, {0, 1, 2}], 0b11101, [0, 1, 2]), 0.2)
+def test_restrict_matches_the_kept_rows(case, min_support):
+    m, rows, keep, items = case
+    ts = TransactionSet.from_transactions(rows, item_ids=range(m))
+    got = ts.restrict(keep, items)
+    kept = [row & set(items) for t, row in enumerate(rows) if keep >> t & 1]
+    ref = TransactionSet.from_transactions(kept, item_ids=items)
+    assert got.rows == keep & ts.rows
+    assert got.n_transactions == ref.n_transactions == len(kept)
+    assert got.item_ids() == items
+    assert got.transactions() == ref.transactions()
+    for s in [(), *((i,) for i in items), tuple(items[:2]), tuple(items)]:
+        assert cover_of(got, s) == cover_of(ref, s)
+    assert outcome_of(lambda: item_frequencies(got)) == outcome_of(lambda: item_frequencies(ref))
+    for target in [None, (items[-1],)] if items else [None]:
+        cfg = MiningConfig(min_support=min_support, min_lift=0, target_consequent=target)
+
+        def rules(t):
+            fi = mine_frequent(t, cfg)
+            return fi, generate_rules(fi, cfg)
+
+        assert outcome_of(lambda: rules(got)) == outcome_of(lambda: rules(ref))
+
+
+@given(sparse_case(), st.data())
+def test_a_row_bitset_taken_before_the_drop_keeps_its_patients(case, data):
+    m, rows, clinical, min_count = case
+    ts = TransactionSet.from_transactions(rows, item_ids=range(m))
+    marked = data.draw(st.integers(0, ts.rows))  # e.g. the deceased rows
+    kept = drop_sparse_patients(ts, clinical, min_count)
+    survivors = [t for t, r in enumerate(rows) if len(r & set(clinical)) >= min_count]
+    assert (kept.rows & marked).bit_count() == sum(marked >> t & 1 for t in survivors)
+    for i in range(m):
+        assert (kept.cover_bits(i) & marked).bit_count() == sum(
+            marked >> t & 1 for t in survivors if i in rows[t]
+        )
+    if kept.rows & marked:
+        freq = item_frequencies(kept, rows=marked)
+        assert freq.n_transactions == (kept.rows & marked).bit_count()
+        assert freq.counts == {i: (kept.cover_bits(i) & marked).bit_count() for i in range(m)}
 
 
 HEADERS = {

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rulemine.apriori import MiningConfig, mine_frequent
 from rulemine.core import TransactionSet
-from rulemine.errors import CapacityError, UndefinedMetricError
+from rulemine.errors import CapacityError, UndefinedMetricError, UndefinedSupportError
 from rulemine.oracle import brute_frequent, brute_rules
 from rulemine.rules import generate_rules
 
@@ -40,6 +40,14 @@ class TestBruteFrequent:
         ts = TransactionSet.from_transactions([], item_ids=range(25))
         with pytest.raises(CapacityError):
             brute_frequent(ts, 0.5)
+
+    @pytest.mark.parametrize("ts", [TransactionSet(0, {0: 0, 1: 0}), TOY.restrict(0)],
+                             ids=["no_rows", "every_row_dropped"])
+    def test_empty_set_has_no_support(self, ts):
+        with pytest.raises(UndefinedSupportError):
+            brute_frequent(ts, 0.5)
+        with pytest.raises(UndefinedSupportError):
+            mine_frequent(ts, MiningConfig(min_support=0.5))
 
     @given(st.randoms(use_true_random=False), st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
            st.sampled_from([None, 1, 2, 3]))
