@@ -10,7 +10,9 @@ branch that uses them, so ``mine``'s start-up loads none of them.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
+import os
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
@@ -282,7 +284,15 @@ def _write_output(args, blocks: Iterable[str]) -> None:
         except OSError as exc:
             raise RuleMineError(f"cannot write output file {args.output}: {exc.strerror}") from None
     else:
-        sys.stdout.writelines(blocks)
+        try:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+        except OSError as exc:
+            # fd 1 to devnull, as Python's signal docs advise after a broken
+            # pipe: the interpreter's final flush of what the buffer still
+            # holds then neither fails again nor turns the exit code to 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise RuleMineError(f"cannot write to stdout: {exc.strerror}") from None
 
 
 def _cmd_freq(args) -> int:
@@ -516,5 +526,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry: ``main()``'s exit code, with the heap frozen after it.
+
+    ``gc.freeze()`` moves every tracked object to the permanent generation,
+    so the collections of interpreter shutdown visit nothing; module
+    teardown, the stdio flush and ``atexit`` run as before. ``main()`` does
+    not freeze, as in-process callers would then keep every uncollected
+    cycle for the life of their process.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

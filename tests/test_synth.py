@@ -15,10 +15,7 @@ from rulemine.core import flags_to_bits
 from rulemine.errors import ConfigError
 from rulemine.ingest import AGE_BUCKETS, parse_patient_csv, serialize_patient_csv
 from rulemine.synth import CohortSpec, generate_cohort
-from test_report_bytes import SYNTH_ARGV
-
-# the 20 extra marginals of the bench's 50k-row cohort (perfbench/workloads.py)
-WIDE_ARGV = [arg for j in range(20) for arg in ("--marginal", f"s{j:02d}={0.16 + 0.01 * j:.2f}")]
+from test_report_bytes import SYNTH_ARGV, WIDE_ARGV
 
 
 def _fraction(table, name):
