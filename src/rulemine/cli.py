@@ -28,10 +28,10 @@ from .ingest import (
     CohortSelector,
     DerivationConfig,
     build_catalog,
+    cohort_rows,
     csv_text,
     derive_items,
     drop_sparse_patients,
-    filter_cohort,
     parse_patient_csv,
     patient_csv_blocks,
 )
@@ -256,15 +256,16 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
 
 
 def _load_items(args):
-    """The front half every analysis command shares: load the input, keep
-    the cohort, derive items. Returns (table, derivation config, catalog,
-    transactions)."""
-    table = filter_cohort(_read(args.input, "input", parse_patient_csv), args.cohort)
-    if not len(table):
+    """The front half every analysis command shares: load the input, find
+    the cohort's rows, derive items over them. Returns (table, derivation
+    config, catalog, transactions restricted to the cohort's rows)."""
+    table = _read(args.input, "input", parse_patient_csv)
+    cohort = cohort_rows(table, args.cohort)
+    if not cohort:
         sel = args.cohort
         name = sel.kind if sel.lo is None else f"{sel.lo}-{sel.hi}"
-        cohort = "" if sel.kind == "all" else f" with --cohort {name}"
-        raise RuleMineError(f"no patient rows in input file {args.input}{cohort}")
+        where = "" if sel.kind == "all" else f" with --cohort {name}"
+        raise RuleMineError(f"no patient rows in input file {args.input}{where}")
     cfg = DerivationConfig(
         age_buckets_enabled=args.derive_age,
         include_sex=args.derive_sex,
@@ -272,7 +273,7 @@ def _load_items(args):
         include_lab=args.derive_lab,
     )
     catalog = build_catalog(table, cfg)
-    return table, cfg, catalog, derive_items(table, cfg, catalog)
+    return table, cfg, catalog, derive_items(table, cfg, catalog, cohort)
 
 
 def _write_output(args, blocks: Iterable[str]) -> None:
@@ -318,10 +319,10 @@ def _select_pipeline(table, ts, symptom_ids, args):
     """Dual-threshold feature selection over the all/deceased cohorts."""
     symptoms = project(ts, symptom_ids)
     selected = select_features(item_frequencies(symptoms), args.feature_threshold)
-    # the deceased leg counts the rows whose outcome is deceased; a blank is not
-    deceased = table.outcome["deceased"]
+    # the deceased leg counts the cohort's rows whose outcome is deceased; a blank is not
+    deceased = table.outcome["deceased"] & symptoms.rows
     if deceased:
-        freq_dec = item_frequencies(symptoms, rows=deceased)
+        freq_dec = item_frequencies(symptoms.restrict(deceased))
         selected = union_features(
             selected, select_features(freq_dec, args.feature_threshold_deceased)
         )

@@ -19,16 +19,13 @@ class FrequencyMap(Record):
         return sorted(self.counts, key=lambda i: (-self.counts[i], i))
 
 
-def item_frequencies(ts: TransactionSet, rows: int | None = None) -> FrequencyMap:
-    """Frequency of every item of ts, zero-frequency items included.
-
-    ``rows`` restricts the count to ts's transactions set in that bitset.
-    """
-    rows = ts.rows if rows is None else rows & ts.rows
-    n = rows.bit_count()
+def item_frequencies(ts: TransactionSet) -> FrequencyMap:
+    """Frequency of every item over ts's transactions, zero-frequency items
+    included; to count a subset of them, ``ts.restrict`` it first."""
+    n = ts.n_transactions
     if n == 0:
         raise UndefinedSupportError("frequencies are undefined over an empty transaction set")
-    return FrequencyMap({i: (ts.cover_bits(i) & rows).bit_count() for i in ts.item_ids()}, n)
+    return FrequencyMap({i: ts.cover_bits(i).bit_count() for i in ts.item_ids()}, n)
 
 
 def select_features(freq: FrequencyMap, threshold: float) -> list[int]:

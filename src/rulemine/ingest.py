@@ -17,12 +17,11 @@ into columns by character; the heads' commas are counted in one
 ``bytes.translate`` and the heads split at commas as one string, so no
 line becomes a list. The cells of a bitset column become one code byte
 per row, and its row bitsets come from ``bytes.translate`` at the end of
-the parse. A cohort filter drops rows from the table's bitsets with
-``core.row_compactor``; the sparse drop renumbers nothing, as it only
-restricts the TransactionSet's row set. LF, CRLF and a lone CR each end
-a line, so a file with any of them takes that path. Row line numbers are an ``array`` only
-from the first row that is not on line t + 2; before that they are a
-``range``.
+the parse. A cohort (``cohort_rows``) and the sparse drop each restrict
+the TransactionSet's row set, so no row is renumbered before the miner.
+LF, CRLF and a lone CR each end a line, so a file with any of them takes
+that path. Row line numbers are an ``array`` only from the first row
+that is not on line t + 2; before that they are a ``range``.
 
 One parser per reserved column (``_CELLS``) decides whether a cell is
 valid and, when it is not, gives the error's text, both when a chunk is
@@ -113,8 +112,10 @@ class PatientTable(Record):
         return len(self.age)
 
     def missing(self, name: str) -> int:
-        """The rows with no value in the column ``name`` (``sex``,
-        ``outcome`` or ``lab_result``): an empty cell or an absent column."""
+        """The rows with no value in the reserved column ``name`` (not
+        ``id``): an empty cell or an absent column."""
+        if name == "age":
+            return value_rows(self.age, lambda a: a is None).get(True, 0) if None in self.age else 0
         return ((1 << len(self)) - 1) & ~reduce(or_, getattr(self, name).values())
 
     @property
@@ -199,9 +200,9 @@ class CohortSelector(Record):
         self.hi = hi
 
 
-def age_bucket(age: int) -> str:
-    """The first of AGE_BUCKETS whose range ends above ``age``."""
-    return next(bucket for bucket, (_, hi) in AGE_BUCKETS.items() if age < hi)
+def age_bucket(age: int | None) -> str | None:
+    """The first of AGE_BUCKETS whose range ends above ``age``; None for no age."""
+    return None if age is None else next(b for b, (_, hi) in AGE_BUCKETS.items() if age < hi)
 
 
 # The cell grammar of the reserved columns: each parser returns a cell's
@@ -515,17 +516,12 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _first_missing(table: PatientTable, names: list[str]) -> tuple[int, str] | None:
-    """The CSV line and column of the first row missing a value in one of
-    the reserved columns ``names``, the earlier name on a tie; None when
-    no value is missing."""
-    firsts = []
-    for k, name in enumerate(names):
-        if name == "age":
-            if None in table.age:
-                firsts.append((table.age.index(None), k))
-        elif missing := table.missing(name):
-            firsts.append(((missing & -missing).bit_length() - 1, k))
+def _first_missing(table: PatientTable, names: list[str], rows: int) -> tuple[int, str] | None:
+    """The CSV line and column of the first of ``rows`` missing a value in
+    one of the reserved columns ``names``, the earlier name on a tie; None
+    when none is missing."""
+    firsts = [((bits & -bits).bit_length() - 1, k) for k, name in enumerate(names)
+              if (bits := table.missing(name) & rows)]
     if not firsts:
         return None
     t, k = min(firsts)
@@ -546,18 +542,27 @@ def value_rows(column: Sequence, key: Callable | None = None) -> dict:
     return {result: _rows_of_code(coded, k) for result, k in codes.items()}
 
 
-def filter_cohort(table: PatientTable, sel: CohortSelector) -> PatientTable:
-    """The rows ``sel`` selects, order preserved; ``all`` returns ``table`` itself."""
+def cohort_rows(table: PatientTable, sel: CohortSelector) -> int:
+    """The row bitset of the rows ``sel`` selects; ``all`` is every row.
+    A blank in the selector's column is an error in any row, kept or not."""
+    every = (1 << len(table)) - 1
     if sel.kind == "all":
-        return table
+        return every
     name = "age" if sel.kind == "age_range" else "outcome"
-    if missing := _first_missing(table, [name]):
+    if missing := _first_missing(table, [name], every):
         line, _ = missing
         raise SchemaError(f"row {line}: {sel.kind} cohort filter needs {name} but {name} missing")
     if name == "outcome":
-        keep = table.outcome[sel.kind]  # the other kinds are outcome values
-    else:
-        keep = value_rows(table.age, lambda a: sel.lo <= a < sel.hi).get(True, 0)
+        return table.outcome[sel.kind]  # the other kinds are outcome values
+    return value_rows(table.age, lambda a: sel.lo <= a < sel.hi).get(True, 0)
+
+
+def filter_cohort(table: PatientTable, sel: CohortSelector) -> PatientTable:
+    """The table of the rows ``sel`` selects, renumbered in order; ``all``
+    returns ``table`` itself. The CLI keeps the row set ``cohort_rows``."""
+    if sel.kind == "all":
+        return table
+    keep = cohort_rows(table, sel)
     n = len(table)
     compact = row_compactor(keep, n)
     mask = row_mask(keep, n)
@@ -576,17 +581,20 @@ def build_catalog(table: PatientTable, cfg: DerivationConfig) -> ItemCatalog:
 
 
 def derive_items(
-    table: PatientTable, cfg: DerivationConfig, catalog: ItemCatalog
+    table: PatientTable, cfg: DerivationConfig, catalog: ItemCatalog, cohort: int | None = None
 ) -> TransactionSet:
-    """One transaction per patient: flagged symptoms plus derived items.
+    """One transaction per patient of ``cohort`` (a row bitset, every row
+    by default, whose rows alone must hold the enabled columns' values):
+    flagged symptoms plus derived items, no row renumbered.
 
     When enabled, each transaction gets exactly one age-bucket item, one
     sex item, one outcome item, and one lab item (the latter only for rows
     that carry a lab result). Symptom covers pass through unchanged; each
     derived item's cover is built from its reserved column.
     """
+    cohort = (1 << len(table)) - 1 if cohort is None else cohort
     needed = [name for name in cfg.columns() if name != "lab_result"]
-    if missing := _first_missing(table, needed):
+    if missing := _first_missing(table, needed, cohort):
         line, name = missing
         raise SchemaError(f"row {line}: {name} derivation enabled but {name} missing")
 
@@ -597,7 +605,7 @@ def derive_items(
         rows = value_rows(table.age, age_bucket) if column == "age" else getattr(table, column)
         for value, item in _ITEMS[column].items():
             covers[catalog.id_of(item)] = rows.get(value, 0)
-    return TransactionSet(len(table), covers)
+    return TransactionSet(len(table), covers).restrict(cohort)
 
 
 def drop_sparse_patients(

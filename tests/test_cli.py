@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulemine import cli
+from rulemine import cli, core, ingest
 from rulemine.apriori import MiningConfig, min_count, mine_frequent
 from rulemine.cli import METRIC_KEYS, build_parser, emit_report, main
 from rulemine.core import ItemCatalog
@@ -842,3 +842,34 @@ class TestCohortFlag:
         (line,) = [line for line in err.splitlines() if "error:" in line]
         assert line.endswith(f"argument --cohort: cohort must be all, deceased, recovered, "
                              f"or LO-HI: {value!r}")
+
+    def test_a_blank_age_outside_the_cohort(self, capsys, tmp_path):
+        """``--derive-age`` needs an age in the cohort's rows only: the
+        deceased cohort mines as if the blank row were not in the file."""
+        lines = ["age,outcome,Fever,Cough", "30,deceased,1,1", ",recovered,1,0",
+                 "50,deceased,0,1", "70,recovered,1,1"]
+        path, without = tmp_path / "blank.csv", tmp_path / "without.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        without.write_text("".join(line + "\n" for k, line in enumerate(lines) if k != 2))
+        argv = ["mine", "--derive-age", "--min-lift", "0", "--cohort"]
+        assert main([*argv, "deceased", "--input", str(without)]) == 0
+        expected = capsys.readouterr().out
+        assert expected.count("\n") > 1  # rules, not a header alone
+        assert main([*argv, "deceased", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == expected
+        assert main([*argv, "recovered", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == "error: row 3: age derivation enabled but age missing\n"
+
+    def test_the_cli_repacks_no_patient_table(self, capsys, cohort_csv):
+        """A cohort is a row set of the parsed table: ingest renumbers no
+        column, and the miner's own renumbering of the kept rows goes
+        through ``core``."""
+        argv = ["mine", "--input", str(cohort_csv), "--derive-age", "--derive-outcome",
+                "--min-lift", "0", "--cohort", "deceased"]
+        with (
+            patch.object(ingest, "row_compactor", side_effect=AssertionError("table re-packed")),
+            patch.object(core, "row_compactor", wraps=core.row_compactor) as miner_compactor,
+        ):
+            assert main(argv) == 0
+        assert miner_compactor.called  # 2 of 6 rows kept: the miner compacts them
+        assert capsys.readouterr().out.count("\n") > 1

@@ -28,6 +28,7 @@ from rulemine.ingest import (
     PatientRecord,
     age_bucket,
     build_catalog,
+    cohort_rows,
     derive_items,
     drop_sparse_patients,
     filter_cohort,
@@ -280,15 +281,22 @@ def test_filter_cohort_matches_rowwise(text, sel):
 @example(HUGE_AGE, CohortSelector("age_range", lo=100, hi=300), DerivationConfig(True))
 @example(HUGE_AGE, CohortSelector("all"), DerivationConfig(True))
 @example("sex,f\n,1\n,0\n", CohortSelector("all"), DerivationConfig(include_sex=True))
+# a blank age outside the cohort: no error, and no age bucket for that row
+@example("age,outcome,f\n30,deceased,1\n,recovered,0\n50,deceased,1\n", CohortSelector("deceased"),
+         DerivationConfig(True))
 def test_derive_items_matches_rowwise(text, sel, cfg):
+    """Items derived over a renumbered cohort table, and over the whole
+    table restricted to the cohort's row set, against the reference."""
     table = parse_patient_csv(text)
     rows = rowwise_parse(text)[1]
     if isinstance(outcome_of(lambda: rowwise_filter(rows, sel)), tuple):
         return  # the selector needs a column this table lacks
     catalog = build_catalog(table, cfg)
+    expected = outcome_of(lambda: rowwise_derive(rowwise_filter(rows, sel), cfg, catalog))
     cohort = filter_cohort(table, sel)
-    got = outcome_of(lambda: derive_items(cohort, cfg, catalog).transactions())
-    assert got == outcome_of(lambda: rowwise_derive(rowwise_filter(rows, sel), cfg, catalog))
+    assert outcome_of(lambda: derive_items(cohort, cfg, catalog).transactions()) == expected
+    kept = cohort_rows(table, sel)
+    assert outcome_of(lambda: derive_items(table, cfg, catalog, kept).transactions()) == expected
 
 
 ITEM_ROWS = st.integers(1, 6).flatmap(
@@ -383,7 +391,7 @@ def test_a_row_bitset_taken_before_the_drop_keeps_its_patients(case, data):
             marked >> t & 1 for t in survivors if i in rows[t]
         )
     if kept.rows & marked:
-        freq = item_frequencies(kept, rows=marked)
+        freq = item_frequencies(kept.restrict(marked))
         assert freq.n_transactions == (kept.rows & marked).bit_count()
         assert freq.counts == {i: (kept.cover_bits(i) & marked).bit_count() for i in range(m)}
 

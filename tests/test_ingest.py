@@ -90,7 +90,7 @@ class TestAgeBuckets:
     @pytest.mark.parametrize(
         "age,bucket",
         [(0, "<20"), (19, "<20"), (20, "20-40"), (39, "20-40"), (40, "40-60"),
-         (57, "40-60"), (59, "40-60"), (60, ">60"), (95, ">60")],
+         (57, "40-60"), (59, "40-60"), (60, ">60"), (95, ">60"), (None, None)],
     )
     def test_half_open_boundaries(self, age, bucket):
         assert age_bucket(age) == bucket
