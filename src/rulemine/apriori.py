@@ -5,8 +5,10 @@
 (Agrawal & Srikant 1994). The class of a prefix P holds each frequent
 P+(i,) with its cover; the cover of P+(i, j) is the AND of the covers of
 P+(i,) and P+(j,), so each candidate costs one bitset AND and only the
-covers along the current search path are alive. Items are taken in id
-order, so every itemset comes out in canonical form.
+covers along the current search path are alive. The search is one
+recursion that starts at the class of the empty prefix, whose members
+are the frequent single items. Items are taken in id order, so every
+itemset comes out in canonical form.
 
 With ``cfg.target_consequent`` T, rules need only the frequent Z that
 contain T, Z minus T and T (the class-rule setting of CBA, Liu, Hsu & Ma
@@ -19,10 +21,12 @@ quarter of the rows are gone, the miner renumbers the kept ones once
 (``TransactionSet.compact``) so each AND costs the kept rows, not the
 parse's width.
 
-``generate_candidates`` is Apriori's level-wise join and prune. The miner
-does not use it; it stays as the reference the tests and the bench's
-candidate counter use. ``min_count`` is the one threshold predicate: it
-turns every threshold into the least integer count that passes.
+``generate_candidates`` is Apriori's candidate set by its definition:
+every k-set whose (k-1)-subsets are all frequent. The miner does not use
+it; it stays as the reference the tests and the bench's candidate
+counter use. ``min_count`` is the one threshold predicate: it turns
+every threshold into the least integer count that passes, reading a
+float as the decimal of its shortest repr.
 """
 
 from __future__ import annotations
@@ -77,53 +81,31 @@ class FrequentItemsets(Record):
         return max((len(s) for s in self.counts), default=0)
 
 
-def exact(threshold: float | Fraction) -> Fraction:
-    """A threshold as the exact decimal the caller wrote.
-
-    Floats go through their shortest repr, so 0.1 is 1/10 and not its
-    nearest binary float.
-    """
-    if isinstance(threshold, float):
-        return Fraction(str(threshold))
-    return Fraction(threshold)
-
-
 def min_count(threshold: float | Fraction, strict: bool = False) -> Callable[[int], int]:
     """total -> the least integer count whose ratio to total is >= threshold
     (> threshold when ``strict``): for the exact threshold p/q, that is
-    ceil(p * total / q), or floor(p * total / q) + 1 when strict."""
-    p, q = exact(threshold).as_integer_ratio()
+    ceil(p * total / q), or floor(p * total / q) + 1 when strict. A float
+    means the decimal of its shortest repr, so 0.1 is 1/10 and not its
+    nearest binary float."""
+    if isinstance(threshold, float):
+        threshold = repr(threshold)
+    p, q = Fraction(threshold).as_integer_ratio()
     if strict:
         return lambda total: p * total // q + 1
     return lambda total: -(-p * total // q)
 
 
 def generate_candidates(frequent_prev: Iterable[Itemset]) -> set[Itemset]:
-    """Apriori join + prune: (k-1)-itemsets -> candidate k-itemsets.
-
-    Joins pairs sharing their first k-2 items (canonical prefix order),
-    then drops any candidate with an infrequent (k-1)-subset.
-    """
-    prev = sorted(set(frequent_prev))
-    if not prev:
-        return set()
-    k_minus_1 = len(prev[0])
-    if k_minus_1 < 1 or any(len(s) != k_minus_1 for s in prev):
+    """Apriori's candidate k-itemsets: every k-set whose (k-1)-subsets
+    are all in ``frequent_prev``. Each is some s of it grown by a later
+    item of another, so only those are tested."""
+    prev = set(frequent_prev)
+    sizes = {len(s) for s in prev}
+    if len(sizes) > 1 or 0 in sizes:
         raise InternalError("generate_candidates: mixed or empty itemset sizes")
-    prev_set = set(prev)
-
-    candidates: set[Itemset] = set()
-    for a_idx, a in enumerate(prev):
-        for b in prev[a_idx + 1 :]:
-            if a[:-1] != b[:-1]:
-                break  # sorted order: no later b shares this prefix
-            cand = a + (b[-1],)
-            # prune: every (k-1)-subset must be frequent
-            if all(
-                cand[:j] + cand[j + 1 :] in prev_set for j in range(len(cand))
-            ):
-                candidates.add(cand)
-    return candidates
+    items = {i for s in prev for i in s}
+    grown = {s + (i,) for s in prev for i in items if i > s[-1]}
+    return {c for c in grown if all(c[:j] + c[j + 1 :] in prev for j in range(len(c)))}
 
 
 def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
@@ -149,38 +131,24 @@ def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
     if target and len(target) <= max_len and base.bit_count() >= need:
         counts[target] = base.bit_count()
     depth = max_len - len(target)
-    if depth < 1:
-        return FrequentItemsets(counts, n)
 
-    def record(x: Itemset, c: int) -> None:
-        if target:
-            counts[tuple(sorted(x + target))] = c
-            c = cover_bits_of(ts, x).bit_count()
-        counts[x] = c
+    def grow(prefix: Itemset, cover: int, candidates: list[tuple[int, int]]) -> None:
+        # the class of prefix: each frequent prefix + (i,) as (i, cover), in id order
+        klass = []
+        for i, cover_i in candidates:
+            bits = cover & cover_i
+            c = bits.bit_count()
+            if c >= need:
+                x = prefix + (i,)
+                if target:
+                    counts[tuple(sorted(x + target))] = c
+                    c = cover_bits_of(ts, x).bit_count()
+                counts[x] = c
+                klass.append((i, bits))
+        if len(prefix) + 2 <= depth:
+            for a, (i, bits) in enumerate(klass[:-1]):
+                grow(prefix + (i,), bits, klass[a + 1 :])
 
-    def extend(prefix: Itemset, klass: list[tuple[int, int]]) -> None:
-        # klass: the frequent prefix + (i,) as (i, cover) pairs in id order
-        for a, (i, cover) in enumerate(klass):
-            p = prefix + (i,)
-            child = []
-            for j, cover_j in klass[a + 1 :]:
-                bits = cover & cover_j
-                c = bits.bit_count()
-                if c >= need:
-                    record(p + (j,), c)
-                    child.append((j, bits))
-            if len(child) > 1 and len(p) + 2 <= depth:
-                extend(p, child)
-
-    root = []
-    for i in items:
-        if i in target:
-            continue
-        bits = ts.cover_bits(i) & base
-        c = bits.bit_count()
-        if c >= need:
-            record((i,), c)
-            root.append((i, bits))
-    if depth > 1:
-        extend((), root)
+    if depth >= 1:
+        grow((), base, [(i, ts.cover_bits(i)) for i in items if i not in target])
     return FrequentItemsets(counts, n)

@@ -528,14 +528,14 @@ def _first_missing(table: PatientTable, names: list[str], rows: int) -> tuple[in
     return table.lines[t], names[k]
 
 
-def value_rows(column: Sequence, key: Callable | None = None) -> dict:
-    """The row bitset of each distinct value of ``column``, or of each
-    distinct ``key(value)``; ``key`` runs once per distinct value.
+def value_rows(column: Sequence, key: Callable) -> dict:
+    """The row bitset of each distinct ``key(value)`` over ``column``;
+    ``key`` runs once per distinct value.
 
     Each row becomes a one-byte code (so at most 256 distinct results),
     and each result's bitset is the codes translated to '0'/'1' bytes.
     """
-    label = {v: v if key is None else key(v) for v in set(column)}
+    label = {v: key(v) for v in set(column)}
     codes = {result: k for k, result in enumerate(set(label.values()))}
     code_of = {v: codes[result] for v, result in label.items()}
     coded = bytes(map(code_of.__getitem__, column))[::-1]  # row n-1 first

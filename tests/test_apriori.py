@@ -179,6 +179,22 @@ def test_oracle_equivalence(ts, min_support, max_len):
     }
 
 
+@pytest.mark.parametrize(
+    "target,max_len,expected",
+    [
+        ((0,), 1, {(0,): 5}),
+        ((0,), 2, {(0,): 5, (0, 1): 5, (1,): 5, (0, 2): 5, (2,): 5, (0, 3): 5, (3,): 5}),
+        ((1, 2), 2, {(1, 2): 5}),
+        ((1, 2), 1, {}),
+        ((1, 2), 3, {(1, 2): 5, (0, 1, 2): 5, (0,): 5, (1, 2, 3): 5, (3,): 5}),
+        ((4,), None, {}),  # item 4 is not in the set
+    ],
+)
+def test_class_rule_search_depth_edges(target, max_len, expected):
+    # T alone when max_len leaves no room for X, nothing when T itself is too long
+    cfg = MiningConfig(min_support=1.0, max_len=max_len, target_consequent=target)
+    assert mine_frequent(EVERY_ITEM_EVERY_ROW, cfg).counts == expected
+
 def test_memory_holds_covers_only_along_the_search_path():
     # every one of k items in every row: all 2^k - 1 itemsets are frequent
     k, n = 12, 20_000
