@@ -405,7 +405,7 @@ def _cmd_verify(args) -> int:
     from . import oracle
 
     catalog, ts, mcfg = _run_pipeline(args)
-    # the oracle first, as it refuses too many items before any work; then the
+    # the oracle first, as it refuses too many subsets before any mining; then the
     # whole lattice against the oracle's, and the rules from the target's family
     lattice = oracle.brute_frequent(ts, mcfg.min_support, mcfg.max_len)
     fi = mine_frequent(ts, MiningConfig(**(vars(mcfg) | {"target_consequent": None})))

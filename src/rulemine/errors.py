@@ -37,7 +37,7 @@ class InconsistentSupportError(RuleMineError):
 
 
 class CapacityError(RuleMineError):
-    """Brute-force enumeration refused: item alphabet too large."""
+    """Brute-force count refused: more subsets to count than its limit."""
 
 
 class InternalError(RuleMineError):

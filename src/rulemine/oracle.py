@@ -1,12 +1,11 @@
 """Brute-force reference miner for cross-checking the Apriori path.
 
-``brute_frequent`` makes the lattice by full enumeration, a subset test
-per itemset and distinct transaction; ``brute_rules`` reads that lattice's
-counts, as ``generate_rules`` reads ``mine_frequent``'s. The threshold
-predicates and the ranking are re-stated here on purpose (on exact
-Fraction metrics against the decimal threshold, not imported from the
-apriori or rules modules) so a threshold or ordering bug in either path
-shows up as a disagreement.
+``brute_frequent`` adds each distinct transaction's weight to each of its
+subsets, with no candidates, covers or prefix classes; ``brute_rules`` reads
+that lattice's counts. Both re-state the threshold predicates and the ranking
+on purpose (on exact Fraction metrics against the decimal threshold, not
+imported from the apriori or rules modules), so a threshold or ordering bug
+in either path shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -15,13 +14,14 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .apriori import FrequentItemsets, MiningConfig
 from .core import TransactionSet
 from .errors import CapacityError, UndefinedSupportError
 from .rules import Rule, RuleSet, metrics
 
-MAX_ORACLE_ITEMS = 24
+MAX_ORACLE_SUBSETS = 1 << 24
 
 
 def _decimal(threshold: float | Fraction) -> Decimal | Fraction:
@@ -33,26 +33,26 @@ def _decimal(threshold: float | Fraction) -> Decimal | Fraction:
 def brute_frequent(
     ts: TransactionSet, min_support: float | Fraction, max_len: int | None = None
 ) -> FrequentItemsets:
-    """Every frequent itemset of at most ``max_len`` items by exhaustive
-    lattice enumeration, each counted over the distinct transactions."""
-    items = ts.item_ids()
-    if len(items) > MAX_ORACLE_ITEMS:
-        raise CapacityError(
-            f"oracle refuses {len(items)} items (limit {MAX_ORACLE_ITEMS})"
-        )
+    """Every frequent itemset of at most ``max_len`` items, each distinct row
+    adding its weight to its subsets (at a zero threshold, the item universe
+    too, at weight 0); refuses over ``MAX_ORACLE_SUBSETS`` subsets up front."""
     n = ts.n_transactions
     if n == 0:
         raise UndefinedSupportError("cannot mine an empty transaction set")
-    rows = Counter(ts.transactions())
     cut = _decimal(min_support)
-    counts = {}
-    for k in range(1, (max_len or len(items)) + 1):
-        for combo in combinations(items, k):
-            member = set(combo)
-            count = sum(w for row, w in rows.items() if member <= row)
-            if Fraction(count, n) >= cut:
-                counts[combo] = count
-    return FrequentItemsets(counts, n)
+    rows = Counter(tuple(sorted(t)) for t in ts.transactions())
+    if cut <= 0:
+        rows[tuple(ts.item_ids())] += 0  # lists every combination, counted or not
+    top = max_len or ts.n_items
+    work = sum(comb(len(t), k) for t in rows for k in range(1, min(top, len(t)) + 1))
+    if work > MAX_ORACLE_SUBSETS:
+        raise CapacityError(f"oracle refuses {work} subsets (limit {MAX_ORACLE_SUBSETS})")
+    counts = Counter()
+    for t, w in rows.items():
+        for k in range(1, min(top, len(t)) + 1):
+            for z in combinations(t, k):
+                counts[z] += w
+    return FrequentItemsets({z: c for z, c in counts.items() if Fraction(c, n) >= cut}, n)
 
 
 def brute_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:

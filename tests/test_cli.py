@@ -374,8 +374,27 @@ class TestVerifyPipeline:
         path.write_text("".join(",".join(row) + "\n" for row in rows))
         with patch.object(cli, "mine_frequent") as miner:
             rc = main(["verify", "--input", str(path), "--no-select"])
-        assert (rc, capsys.readouterr()) == (1, ("", "error: oracle refuses 25 items (limit 24)\n"))
+        # 2^25 - 1 subsets of the all-ones row and 2^12 - 1 of the other
+        expected = "error: oracle refuses 33558526 subsets (limit 16777216)\n"
+        assert (rc, capsys.readouterr()) == (1, ("", expected))
         miner.assert_not_called()
+
+    def test_verifies_more_than_24_items(self, capsys, tmp_path):
+        spec = CohortSpec(n=300, marginals={f"s{j:02d}": 0.1 + j / 50 for j in range(30)}, seed=7)
+        path = tmp_path / "wide.csv"
+        path.write_text(serialize_patient_csv(generate_cohort(spec)))
+        rc = main(["verify", "--input", str(path), "--no-select", "--max-len", "2"])
+        assert (rc, capsys.readouterr()) == (
+            0, ("OK: 465 frequent itemsets, 414 rules match the brute-force oracle\n", ""))
+
+    def test_huge_max_len_is_no_max_len(self, capsys, synth_csv):
+        argv = ["verify", "--input", str(synth_csv), "--derive-outcome",
+                "--target-consequent", "Death"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        assert expected.out.startswith("OK: ")
+        assert main([*argv, "--max-len", "1000000000"]) == 0
+        assert capsys.readouterr() == expected
 
     def test_same_rules_as_mine(self, capsys, synth_csv):
         argv = ["--input", str(synth_csv), *PAPER_DEATH_FLAGS, "--max-len", "3"]

@@ -1,20 +1,41 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rulemine.apriori import MiningConfig, mine_frequent
+from rulemine.apriori import FrequentItemsets, MiningConfig, mine_frequent
 from rulemine.core import TransactionSet
 from rulemine.errors import CapacityError, UndefinedMetricError, UndefinedSupportError
 from rulemine.oracle import brute_frequent, brute_rules
 from rulemine.rules import generate_rules
 
-from conftest import random_transaction_set
+from conftest import random_transaction_set, transaction_sets
 
 TOY = TransactionSet.from_transactions([{0, 1}, {0, 2}, {0, 1}, {1}])
+
+
+def _ts(rows, n_items):
+    return TransactionSet.from_transactions(rows, item_ids=range(n_items))
+
+
+def _combination_scan(ts, min_support, max_len=None):
+    """The reference lattice: every combination of the item universe, up to
+    ``max_len`` items, tested against every distinct transaction."""
+    items = ts.item_ids()
+    n = ts.n_transactions
+    rows = Counter(ts.transactions())
+    cut = Fraction(str(min_support))  # the decimal written, exactly
+    counts = {}
+    for k in range(1, (max_len or len(items)) + 1):
+        for combo in combinations(items, k):
+            count = sum(w for row, w in rows.items() if set(combo) <= row)
+            if Fraction(count, n) >= cut:
+                counts[combo] = count
+    return FrequentItemsets(counts, n)
 
 
 def _oracle_rules(ts, cfg):
@@ -37,9 +58,23 @@ class TestBruteFrequent:
         assert brute_frequent(ts, 1.0).counts == {(0,): 1}
 
     def test_capacity_guard(self):
-        ts = TransactionSet.from_transactions([], item_ids=range(25))
-        with pytest.raises(CapacityError):
+        ts = TransactionSet.from_transactions([set(range(25))])  # 2^25 - 1 subsets
+        with pytest.raises(CapacityError, match=r"^oracle refuses 33554431 subsets \(limit 16777216\)$"):
             brute_frequent(ts, 0.5)
+
+    @pytest.mark.parametrize("min_support,max_len,work", [
+        (0.5, 2, 25 + 300 + 3),  # the 25-item row up to pairs, and the row {0, 1}
+        (0.0, 2, 25 + 300 + 3 + 26 + 325),  # the 26-item universe is one more row
+    ])
+    def test_refuses_before_counting(self, monkeypatch, min_support, max_len, work):
+        from rulemine import oracle
+
+        monkeypatch.setattr(oracle, "MAX_ORACLE_SUBSETS", work - 1)
+        monkeypatch.setattr(oracle, "combinations", lambda *a: pytest.fail("counted"))
+        ts = TransactionSet.from_transactions([set(range(25)), {0, 1}], item_ids=range(26))
+        with pytest.raises(CapacityError) as exc:
+            brute_frequent(ts, min_support, max_len)
+        assert str(exc.value) == f"oracle refuses {work} subsets (limit {work - 1})"
 
     @pytest.mark.parametrize("ts", [TransactionSet(0, {0: 0, 1: 0}), TOY.restrict(0)],
                              ids=["no_rows", "every_row_dropped"])
@@ -63,6 +98,21 @@ class TestBruteFrequent:
         assert fi.n_transactions == len(rows)
         cut = Fraction(str(min_support)) * len(rows)  # the decimal written, exactly
         assert fi.counts == {z: c for z, c in scan.items() if c >= cut}
+
+    @settings(max_examples=150, deadline=None)
+    @given(transaction_sets(max_items=6, max_transactions=12),
+           st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.sampled_from([None, 1, 2, 3]))
+    @example(_ts([{0, 1}, {0, 1}, {1}], 3), 0.5, None)  # repeated rows; item 2 in none
+    @example(_ts([{0, 2}], 3), 1.0, None)  # one row; item 1 in none
+    @example(_ts([{0, 1, 2, 3}] * 3, 4), 1.0, 2)  # every item in every row
+    @example(_ts([{0, 1, 2, 3}] * 3, 4), 0.0, 3)
+    @example(_ts([set(), {1}], 3), 0.0, 1)
+    @example(_ts([{1, 8}], 9), 1.0, 2)  # a frozenset that iterates 8 before 1
+    def test_same_lattice_as_the_combination_scan(self, ts, min_support, max_len):
+        expected = _combination_scan(ts, min_support, max_len)
+        assert brute_frequent(ts, min_support, max_len) == expected
+        if max_len is None:
+            assert brute_frequent(ts, min_support, 10**9) == expected
 
 
 class TestBruteRules:
