@@ -9,18 +9,15 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "apriori": ("FrequentItemsets", "MiningConfig", "generate_candidates", "mine_frequent"),
-    "core": (
-        "ItemCatalog", "Itemset", "TransactionSet", "canonical_itemset", "cover_of", "support_of",
-    ),
+    "core": ("ItemCatalog", "Itemset", "TransactionSet", "canonical_itemset"),
     "features": ("item_frequencies", "project", "select_features", "union_features"),
     "ingest": (
         "CohortSelector", "DerivationConfig", "PatientRecord", "PatientTable", "build_catalog",
         "derive_items", "drop_sparse_patients", "filter_cohort", "parse_patient_csv",
-        "serialize_patient_csv",
     ),
     "oracle": ("brute_frequent", "brute_rules"),
     "rules": ("MetricSet", "Rule", "RuleSet", "generate_rules", "metrics"),
-    "synth": ("CohortSpec", "generate_cohort"),
+    "synth": ("CohortSpec", "generate_cohort", "serialize_patient_csv"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -33,7 +33,6 @@ from .ingest import (
     derive_items,
     drop_sparse_patients,
     parse_patient_csv,
-    patient_csv_blocks,
 )
 from .rules import MetricSet, RuleSet, generate_rules
 
@@ -381,7 +380,7 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .synth import CohortSpec, generate_cohort
+    from .synth import CohortSpec, generate_cohort, patient_csv_blocks
 
     marginals = {}
     for name, p in args.marginal:

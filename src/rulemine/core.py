@@ -3,22 +3,21 @@
 Itemsets are plain tuples of item ids in strictly increasing order (the
 canonical form); tuple equality and ordering then coincide with itemset
 equality and a total order. Transaction covers are stored one Python int
-per item, bit t set when row t contains the item, so itemset
-support is a chain of ``&`` plus ``bit_count()``. Converting a bitset to
-and from one '0'/'1' byte per row (``format``, ``int(..., 2)``,
-``int.from_bytes``) is how rows are selected and renumbered in linear
-time. A TransactionSet drops rows by restricting its row set, which is
-one AND per cover and renumbers nothing.
+per item, bit t set when row t contains the item, so an itemset's cover
+(``cover_bits_of``) is a chain of ``&`` and its count that cover's
+``bit_count()``. Converting a bitset to and from one '0'/'1' byte per
+row (``format``, ``int(..., 2)``, ``int.from_bytes``) is how rows are
+selected and renumbered in linear time. A TransactionSet drops rows by
+restricting its row set, which is one AND per cover and renumbers nothing.
 ``Record`` is the base of the package's plain config and result classes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from fractions import Fraction
 from itertools import compress
 
-from .errors import ConfigError, InvalidItemError, UndefinedSupportError
+from .errors import ConfigError, InvalidItemError
 
 Itemset = tuple[int, ...]
 
@@ -134,9 +133,9 @@ class TransactionSet:
     keeps a subset of them without renumbering, so after a drop each cover
     still has the parse's row numbers and a row bitset taken before it
     means the same rows. ``compact`` numbers the transactions 0..n-1 in
-    row order, as the horizontal views, ``transactions()`` and
-    ``cover_of``, do. The mapping is copied at construction and never
-    mutated afterwards, so a TransactionSet can be shared freely.
+    row order, as the horizontal view ``transactions()`` does. The
+    mapping is copied at construction and never mutated afterwards, so a
+    TransactionSet can be shared freely.
     """
 
     def __init__(self, n_transactions: int, covers: Mapping[int, int]):
@@ -237,15 +236,3 @@ def cover_bits_of(ts: TransactionSet, s: Itemset) -> int:
             break
     return bits
 
-
-def cover_of(ts: TransactionSet, s: Itemset) -> set[int]:
-    """Set of the transactions, numbered 0..n-1, containing every item of s."""
-    n = ts.n_transactions
-    return set(compress(range(n), row_mask(cover_bits_of(ts.compact(), s), n)))
-
-
-def support_of(ts: TransactionSet, s: Itemset) -> Fraction:
-    """Exact support |cover(s)| / n_transactions as a Fraction."""
-    if ts.n_transactions == 0:
-        raise UndefinedSupportError("support is undefined over an empty transaction set")
-    return Fraction(cover_bits_of(ts, s).bit_count(), ts.n_transactions)

@@ -67,7 +67,6 @@ RESERVED_COLUMNS = ("id", *_ITEMS)
 _COHORTS = ("all", *_ITEMS["outcome"], "age_range")
 
 CHUNK_ROWS = 4096  # about this many CSV rows are read and turned into columns at a time
-WRITE_ROWS = 1 << 13  # rows of CSV text patient_csv_blocks writes at a time; a multiple of 8
 
 
 # one row of a PatientTable, built on access by PatientTable.rows
@@ -84,7 +83,7 @@ class PatientTable(Record):
     (``missing``). ``age`` holds one value per row, None where the cell is
     empty or the column absent. ``lines`` gives each row's CSV line for
     error messages; by default row t is line t + 2, as
-    ``serialize_patient_csv`` writes it. Tables equal but for ``lines``
+    ``synth.serialize_patient_csv`` writes it. Tables equal but for ``lines``
     are ``==``.
     """
 
@@ -129,7 +128,7 @@ class _RowView(Sequence):
         n = len(table)
         self._table = table
         self._flags = [bits_to_flags(c, n) for c in table.covers]
-        self._codes = [_codes_of(getattr(table, name), n) for name in _CODED]
+        self._codes = [codes_of(getattr(table, name), n) for name in CODED]
 
     def __len__(self) -> int:
         return len(self._table)
@@ -139,11 +138,11 @@ class _RowView(Sequence):
             return [self[j] for j in range(*k.indices(len(self)))]
         t = self._table
         symptoms = {name: int(f[k]) for name, f in zip(t.symptom_columns, self._flags)}
-        coded = [values[codes[k]] for values, codes in zip(_CODED.values(), self._codes)]
+        coded = [values[codes[k]] for values, codes in zip(CODED.values(), self._codes)]
         return PatientRecord(t.age[k], *coded, symptoms)
 
 
-def _codes_of(rows: dict[str, int], n: int) -> bytes:
+def codes_of(rows: dict[str, int], n: int) -> bytes:
     """One byte per row, row 0 first: k where the row is in the k-th of
     the disjoint bitsets ``rows`` (counting from 1), 0 where it is in none.
 
@@ -232,9 +231,9 @@ def _choice_cell(a: str, b: str) -> Callable[[str], str | None]:
 _CELLS = {
     name: _age_cell if name == "age" else _choice_cell(*values) for name, values in _ITEMS.items()
 }
-# reserved column held as row bitsets -> its values by code byte: None (an
-# empty cell or an absent column) is 0, and the k-th value is k
-_CODED = {name: (None, *values) for name, values in _ITEMS.items() if name != "age"}
+# reserved column held as row bitsets -> its values by code byte, for the parser here and
+# synth's writer: None (an empty cell or an absent column) is 0, and the k-th value is k
+CODED = {name: (None, *values) for name, values in _ITEMS.items() if name != "age"}
 _FLAG_CELLS = frozenset("01")
 _NOT_COMMA_OR_LF = bytes(b for b in range(256) if b not in b",\n")
 
@@ -272,7 +271,7 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
     # last byte holds the rows past the last multiple of 8
     covers = [bytearray() for _ in symptom_columns]
     ages: list[int | None] = []
-    codes = {name: bytearray() for name in _CODED}  # empty for a column the CSV lacks
+    codes = {name: bytearray() for name in CODED}  # empty for a column the CSV lacks
     line_numbers = None  # every row so far is on line t + 2
     for chunk, chunk_lines in _chunks(fh, reader.line_num):
         got = _chunk_columns(chunk, header, lead)
@@ -298,7 +297,7 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
     values = {}
     for name, coded in codes.items():
         coded.reverse()  # row n-1 first
-        values[name] = {v: _rows_of_code(coded, k) for k, v in enumerate(_CODED[name][1:], 1)}
+        values[name] = {v: _rows_of_code(coded, k) for k, v in enumerate(CODED[name][1:], 1)}
     return PatientTable(
         symptom_columns,
         [int.from_bytes(cover, "little") for cover in covers],
@@ -419,7 +418,7 @@ def _chunk_columns(chunk: list, header: list[str], lead: int):
 
 def _values(columns: dict[str, Sequence[str]], n: int) -> tuple[Iterable, dict[str, bytes]]:
     """The ages of ``n`` rows (None throughout when the CSV lacks the
-    column) and the code bytes (``_CODED``) of each other reserved column
+    column) and the code bytes (``CODED``) of each other reserved column
     the CSV has, each distinct cell parsed once."""
     ages: Iterable = repeat(None, n)
     codes = {}
@@ -431,7 +430,7 @@ def _values(columns: dict[str, Sequence[str]], n: int) -> tuple[Iterable, dict[s
             memo = {v: parse(v) for v in set(cells)}
             ages = map(memo.__getitem__, cells)
         else:
-            code = {v: k for k, v in enumerate(_CODED[name])}
+            code = {v: k for k, v in enumerate(CODED[name])}
             memo = {v: code[parse(v)] for v in set(cells)}
             codes[name] = bytes(map(memo.__getitem__, cells))
     return ages, codes
@@ -453,60 +452,6 @@ def _first_error(chunk: list, lines: Sequence[int], header: list[str]) -> RuleMi
             if name not in RESERVED_COLUMNS and v not in _FLAG_CELLS:
                 return ParseError(f"row {lineno}, column {name}: expected 0 or 1, got {v!r}")
     return InternalError("a chunk failed a column check but none of its rows did")
-
-
-def serialize_patient_csv(table: PatientTable) -> str:
-    """Inverse of parse_patient_csv for the columns the table carries: the
-    text of ``patient_csv_blocks``, joined."""
-    return "".join(patient_csv_blocks(table))
-
-
-def patient_csv_blocks(table: PatientTable) -> Iterator[str]:
-    """The CSV of ``table`` in pieces: the header line, then the lines of
-    WRITE_ROWS rows at a time, so the whole text is never held.
-
-    Each row is the text of its reserved cells, then its symptom flags.
-    A block's flags are written into one buffer of equal-width row tails
-    by strided slices, one per symptom column, and each row's reserved
-    cells, the commas between them and its tail are joined in one call.
-    """
-    n = len(table)
-    header: list[str] = []
-    columns: list[tuple[dict, Sequence]] = []  # each reserved column's (cell text, values)
-    if table.age.count(None) < n:
-        header.append("age")
-        columns.append(({a: "" if a is None else str(a) for a in set(table.age)}, table.age))
-    for name, by_code in _CODED.items():
-        rows = getattr(table, name)
-        if any(rows.values()):
-            header.append(name)
-            columns.append((dict(enumerate(["", *by_code[1:]])), _codes_of(rows, n)))
-    width = len(header) + len(table.covers)  # cells per row
-    header.extend(table.symptom_columns)
-    yield csv_text([header])
-    if not width:
-        return
-    if width == 1 and columns:  # csv writes a row of one empty field as ""
-        text, values = columns[0]
-        columns = [({v: cell or '""' for v, cell in text.items()}, values)]
-
-    lead = 1 if columns else 0  # the comma after the reserved cells
-    step = lead + 2 * len(table.covers)  # one row's tail: its flags and line end
-    covers = [bits.to_bytes(-(-n // 8), "little") for bits in table.covers]  # row t: bit t
-    for start in range(0, n, WRITE_ROWS):
-        size = min(WRITE_ROWS, n - start)
-        tails = bytearray(b",") * (step * size)
-        tails[step - 1 :: step] = b"\n" * size
-        for j, cover in enumerate(covers):
-            block = int.from_bytes(cover[start // 8 : (start + size + 7) // 8], "little")
-            tails[lead + 2 * j :: step] = bits_to_flags(block, size).encode()
-        if not columns:
-            yield tails.decode()
-            continue
-        cells = [map(text.__getitem__, values[start : start + size]) for text, values in columns]
-        # each row: its first reserved cell, then a comma and a cell per column, then its tail
-        row_parts = [cells[0], *chain.from_iterable((repeat(","), c) for c in cells[1:])]
-        yield "".join(chain.from_iterable(zip(*row_parts, tails.decode().splitlines(True))))
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:
@@ -570,7 +515,7 @@ def filter_cohort(table: PatientTable, sel: CohortSelector) -> PatientTable:
         list(table.symptom_columns),
         list(map(compact, table.covers)),
         list(compress(table.age, mask)),
-        *({v: compact(bits) for v, bits in getattr(table, name).items()} for name in _CODED),
+        *({v: compact(bits) for v, bits in getattr(table, name).items()} for name in CODED),
         lines=array("q", compress(table.lines, mask)),
     )
 

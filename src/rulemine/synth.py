@@ -16,6 +16,8 @@ one call at a time: one ``getrandbits(64 * B)`` returns the 2B words that
 B calls of ``random()`` would read, and ``_draw`` decides the rows from
 those words; its docstring shows why every row gets the flag that
 comparing its ``random()`` would give.
+
+``patient_csv_blocks`` writes a table as the CSV ``parse_patient_csv`` reads.
 """
 
 from __future__ import annotations
@@ -23,16 +25,18 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect
-from itertools import accumulate
+from collections.abc import Iterator, Sequence
+from itertools import accumulate, chain, repeat
 
-from .core import Record, flags_to_bits
+from .core import Record, bits_to_flags, flags_to_bits
 from .errors import ConfigError
-from .ingest import AGE_BUCKETS, RESERVED_COLUMNS, PatientTable
+from .ingest import AGE_BUCKETS, CODED, RESERVED_COLUMNS, PatientTable, codes_of, csv_text
 
 BLOCK_ROWS = 1 << 13  # rows drawn per getrandbits call, 8 bytes of words each
 _UNIT = 1 << 53  # random() is m / _UNIT for an integer m in [0, _UNIT)
 _TOP = 45  # m >> _TOP is the top byte of the row's first word
 _TIE = ord("?")  # a row whose top byte does not decide it
+WRITE_ROWS = 1 << 13  # rows of CSV text patient_csv_blocks writes at a time; a multiple of 8
 
 
 class CohortSpec(Record):
@@ -238,3 +242,57 @@ def generate_cohort(spec: CohortSpec) -> PatientTable:
         outcome={"recovered": every ^ deceased, "deceased": deceased},
         lab_result={"pos": 0, "neg": 0},
     )
+
+
+def serialize_patient_csv(table: PatientTable) -> str:
+    """Inverse of parse_patient_csv for the columns the table carries: the
+    text of ``patient_csv_blocks``, joined."""
+    return "".join(patient_csv_blocks(table))
+
+
+def patient_csv_blocks(table: PatientTable) -> Iterator[str]:
+    """The CSV of ``table`` in pieces: the header line, then the lines of
+    WRITE_ROWS rows at a time, so the whole text is never held.
+
+    Each row is the text of its reserved cells, then its symptom flags.
+    A block's flags are written into one buffer of equal-width row tails
+    by strided slices, one per symptom column, and each row's reserved
+    cells, the commas between them and its tail are joined in one call.
+    """
+    n = len(table)
+    header: list[str] = []
+    columns: list[tuple[dict, Sequence]] = []  # each reserved column's (cell text, values)
+    if table.age.count(None) < n:
+        header.append("age")
+        columns.append(({a: "" if a is None else str(a) for a in set(table.age)}, table.age))
+    for name, by_code in CODED.items():
+        rows = getattr(table, name)
+        if any(rows.values()):
+            header.append(name)
+            columns.append((dict(enumerate(["", *by_code[1:]])), codes_of(rows, n)))
+    width = len(header) + len(table.covers)  # cells per row
+    header.extend(table.symptom_columns)
+    yield csv_text([header])
+    if not width:
+        return
+    if width == 1 and columns:  # csv writes a row of one empty field as ""
+        text, values = columns[0]
+        columns = [({v: cell or '""' for v, cell in text.items()}, values)]
+
+    lead = 1 if columns else 0  # the comma after the reserved cells
+    step = lead + 2 * len(table.covers)  # one row's tail: its flags and line end
+    covers = [bits.to_bytes(-(-n // 8), "little") for bits in table.covers]  # row t: bit t
+    for start in range(0, n, WRITE_ROWS):
+        size = min(WRITE_ROWS, n - start)
+        tails = bytearray(b",") * (step * size)
+        tails[step - 1 :: step] = b"\n" * size
+        for j, cover in enumerate(covers):
+            block = int.from_bytes(cover[start // 8 : (start + size + 7) // 8], "little")
+            tails[lead + 2 * j :: step] = bits_to_flags(block, size).encode()
+        if not columns:
+            yield tails.decode()
+            continue
+        cells = [map(text.__getitem__, values[start : start + size]) for text, values in columns]
+        # each row: its first reserved cell, then a comma and a cell per column, then its tail
+        row_parts = [cells[0], *chain.from_iterable((repeat(","), c) for c in cells[1:])]
+        yield "".join(chain.from_iterable(zip(*row_parts, tails.decode().splitlines(True))))

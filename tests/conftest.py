@@ -1,8 +1,24 @@
 import random
+from fractions import Fraction
+from itertools import compress
 
 from hypothesis import strategies as st
 
-from rulemine.core import TransactionSet
+from rulemine.core import Itemset, TransactionSet, cover_bits_of, row_mask
+from rulemine.errors import UndefinedSupportError
+
+
+def cover_of(ts: TransactionSet, s: Itemset) -> set[int]:
+    """Set of the transactions, numbered 0..n-1, containing every item of s."""
+    n = ts.n_transactions
+    return set(compress(range(n), row_mask(cover_bits_of(ts.compact(), s), n)))
+
+
+def support_of(ts: TransactionSet, s: Itemset) -> Fraction:
+    """Exact support |cover(s)| / n_transactions as a Fraction."""
+    if ts.n_transactions == 0:
+        raise UndefinedSupportError("support is undefined over an empty transaction set")
+    return Fraction(cover_bits_of(ts, s).bit_count(), ts.n_transactions)
 
 
 @st.composite

@@ -10,7 +10,6 @@ reconstruct to <1e-3 once supports are snapped to integer counts over the
 """
 
 import json
-import math
 import random
 import subprocess
 import sys
@@ -19,15 +18,14 @@ from fractions import Fraction
 
 from rulemine.apriori import MiningConfig, mine_frequent
 from rulemine.cli import main
-from rulemine.core import TransactionSet, canonical_itemset, support_of
+from rulemine.core import canonical_itemset
 from rulemine.features import FrequencyMap, select_features
-from rulemine.ingest import build_catalog, derive_items, parse_patient_csv, serialize_patient_csv
-from rulemine.ingest import DerivationConfig
+from rulemine.ingest import DerivationConfig, build_catalog, derive_items
 from rulemine.oracle import brute_frequent, brute_rules
 from rulemine.rules import generate_rules, metrics
-from rulemine.synth import CohortSpec, generate_cohort
+from rulemine.synth import CohortSpec, generate_cohort, serialize_patient_csv
 
-from conftest import random_transaction_set
+from conftest import random_transaction_set, support_of
 
 
 def _report(num, name, failures):

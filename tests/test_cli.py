@@ -24,10 +24,9 @@ from rulemine.ingest import (
     derive_items,
     filter_cohort,
     parse_patient_csv,
-    serialize_patient_csv,
 )
 from rulemine.rules import Rule, RuleSet, generate_rules
-from rulemine.synth import CohortSpec, generate_cohort
+from rulemine.synth import CohortSpec, generate_cohort, serialize_patient_csv
 
 from conftest import transaction_sets
 

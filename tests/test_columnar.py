@@ -17,9 +17,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rulemine import ingest
+from rulemine import ingest, synth
 from rulemine.apriori import MiningConfig, mine_frequent
-from rulemine.core import TransactionSet, canonical_itemset, cover_of
+from rulemine.core import TransactionSet, canonical_itemset
 from rulemine.errors import ParseError, RuleMineError, SchemaError
 from rulemine.features import item_frequencies
 from rulemine.ingest import (
@@ -33,11 +33,11 @@ from rulemine.ingest import (
     drop_sparse_patients,
     filter_cohort,
     parse_patient_csv,
-    patient_csv_blocks,
-    serialize_patient_csv,
 )
 from rulemine.rules import generate_rules
-from rulemine.synth import CohortSpec, generate_cohort
+from rulemine.synth import CohortSpec, generate_cohort, patient_csv_blocks, serialize_patient_csv
+
+from conftest import cover_of
 
 RESERVED = ("id", "age", "sex", "outcome", "lab_result")
 CHOICES = {"sex": ("M", "F"), "outcome": ("recovered", "deceased"), "lab_result": ("pos", "neg")}
@@ -502,7 +502,7 @@ def test_serialize_matches_csv_writer(text, sel, spec):
         pass
     for t in tables:
         assert serialize_patient_csv(t) == rowwise_serialize(t)
-        with patch.object(ingest, "WRITE_ROWS", 8):  # blocks of 8 rows join to the same text
+        with patch.object(synth, "WRITE_ROWS", 8):  # blocks of 8 rows join to the same text
             blocks = list(patient_csv_blocks(t))
         rows = 0 if blocks[0] == "\n" else len(t)  # a table with no columns writes no rows
         assert len(blocks) == 1 + (rows + 7) // 8

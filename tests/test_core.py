@@ -9,13 +9,11 @@ from rulemine.core import (
     TransactionSet,
     bits_to_flags,
     canonical_itemset,
-    cover_of,
     flags_to_bits,
-    support_of,
 )
 from rulemine.errors import ConfigError, InvalidItemError, UndefinedSupportError
 
-from conftest import transaction_sets
+from conftest import cover_of, support_of, transaction_sets
 
 # ts = [{A,B},{A},{B,C},{A,B,C}] with A=0, B=1, C=2
 TOY = TransactionSet.from_transactions([{0, 1}, {0}, {1, 2}, {0, 1, 2}])

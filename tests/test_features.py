@@ -12,7 +12,7 @@ from rulemine.features import (
     union_features,
 )
 
-from conftest import transaction_sets
+from conftest import cover_of, transaction_sets
 
 
 def _freq_map(fractions):
@@ -117,8 +117,6 @@ class TestProject:
         assert p.n_items == 0 and p.n_transactions == 3
 
     def test_single_item(self):
-        from rulemine.core import cover_of
-
         assert cover_of(project(self.TS, [0]), (0,)) == {0, 1}
 
     @given(transaction_sets(), st.data())

@@ -16,15 +16,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # every name the package root has exported, each from its defining module
 ROOT_NAMES = {
     "apriori": ["FrequentItemsets", "MiningConfig", "generate_candidates", "mine_frequent"],
-    "core": ["ItemCatalog", "Itemset", "TransactionSet", "canonical_itemset", "cover_of",
-             "support_of"],
+    "core": ["ItemCatalog", "Itemset", "TransactionSet", "canonical_itemset"],
     "features": ["item_frequencies", "project", "select_features", "union_features"],
     "ingest": ["CohortSelector", "DerivationConfig", "PatientRecord", "PatientTable",
                "build_catalog", "derive_items", "drop_sparse_patients", "filter_cohort",
-               "parse_patient_csv", "serialize_patient_csv"],
+               "parse_patient_csv"],
     "oracle": ["brute_frequent", "brute_rules"],
     "rules": ["MetricSet", "Rule", "RuleSet", "generate_rules", "metrics"],
-    "synth": ["CohortSpec", "generate_cohort"],
+    "synth": ["CohortSpec", "generate_cohort", "serialize_patient_csv"],
 }
 
 

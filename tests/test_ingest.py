@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from rulemine.core import canonical_itemset, cover_of
+from rulemine.core import canonical_itemset
 from rulemine.errors import ConfigError, ParseError, SchemaError
 from rulemine.ingest import (
     CohortSelector,
@@ -15,8 +15,10 @@ from rulemine.ingest import (
     drop_sparse_patients,
     filter_cohort,
     parse_patient_csv,
-    serialize_patient_csv,
 )
+from rulemine.synth import serialize_patient_csv
+
+from conftest import cover_of
 
 CSV = "age,sex,outcome,fever,cough\n57,M,recovered,1,0\n"
 

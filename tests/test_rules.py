@@ -149,8 +149,12 @@ class TestZeroCount:
     transaction_sets(max_items=5, max_transactions=8),
     st.sampled_from([None, 1, 2, 3]),
     st.sampled_from([None, (0,), (1,), (0, 2)]),
+    st.sampled_from([0, 0.5, 1]),
+    st.sampled_from([0, 1, 1.5]),
 )
-def test_zero_count_error_is_the_least_of_every_partition(data, ts, max_len, target):
+def test_zero_count_error_is_the_least_of_every_partition(
+    data, ts, max_len, target, min_confidence, min_lift
+):
     counts = mine_frequent(ts, MiningConfig(min_support=0.0, max_len=max_len)).counts
     undefined = [
         (x, y)
@@ -162,7 +166,10 @@ def test_zero_count_error_is_the_least_of_every_partition(data, ts, max_len, tar
     ]
     shuffled = dict(data.draw(st.permutations(list(counts.items()))))
     fi = FrequentItemsets(shuffled, ts.n_transactions)
-    cfg = MiningConfig(min_support=0.0, target_consequent=target)
+    cfg = MiningConfig(
+        min_support=0.0, min_confidence=min_confidence, min_lift=min_lift,
+        target_consequent=target,
+    )
     if undefined:
         with pytest.raises(UndefinedMetricError) as exc:
             generate_rules(fi, cfg)

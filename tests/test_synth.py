@@ -13,8 +13,8 @@ from rulemine import synth
 from rulemine.cli import main
 from rulemine.core import flags_to_bits
 from rulemine.errors import ConfigError
-from rulemine.ingest import AGE_BUCKETS, parse_patient_csv, serialize_patient_csv
-from rulemine.synth import CohortSpec, generate_cohort
+from rulemine.ingest import AGE_BUCKETS, parse_patient_csv
+from rulemine.synth import CohortSpec, generate_cohort, serialize_patient_csv
 from test_report_bytes import SYNTH_ARGV, WIDE_ARGV
 
 
