@@ -35,12 +35,13 @@ import math
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 
-from .core import Itemset, Record, TransactionSet, cover_bits_of
+from .core import Itemset, Record, TransactionSet, canonical_itemset, cover_bits_of
 from .errors import ConfigError, InternalError, UndefinedSupportError
 
 
 class MiningConfig(Record):
-    """The thresholds of one mining run, checked when it is built."""
+    """The thresholds of one mining run, checked when it is built; a
+    target_consequent is kept in canonical form (sorted, each item once)."""
 
     def __init__(
         self,
@@ -58,6 +59,10 @@ class MiningConfig(Record):
             raise ConfigError(f"min_lift must be finite and >= 0, got {min_lift}")
         if max_len is not None and max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {max_len}")
+        if target_consequent is not None:
+            target_consequent = canonical_itemset(target_consequent)
+            if not target_consequent:
+                raise ConfigError("target_consequent must name at least one item")
         self.min_support = min_support
         self.min_confidence = min_confidence
         self.min_lift = min_lift

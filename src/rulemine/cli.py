@@ -34,7 +34,7 @@ from .ingest import (
     drop_sparse_patients,
     parse_patient_csv,
 )
-from .rules import MetricSet, RuleSet, generate_rules
+from .rules import MetricSet, RuleSet, generate_rules, metric_values
 
 REPORT_COLUMNS = (
     "Antecedents",
@@ -67,22 +67,17 @@ def _md_cell(text: str) -> str:
 def emit_report(rs: RuleSet, catalog: ItemCatalog, fmt: str) -> str:
     """Render a RuleSet as csv, markdown, or json (full precision + counts).
 
-    Every metric is formatted from the rule's integer counts: int / int is
-    correctly rounded, so each float is that of the exact Fraction.
+    Every metric is ``metric_values`` of the rule's integer counts, ``r[2:]``:
+    int / int is correctly rounded, so each float is that of the exact Fraction.
     """
     n = rs.n_transactions
-
-    def floats(r):
-        c, a, b = r.count, r.antecedent_count, r.consequent_count
-        return a / n, b / n, c / n, c / a, c * n / (a * b), (c * n - a * b) / (n * n)
-
     if fmt == "json":
         import json
 
         out = [{
             "antecedent": [catalog.name_of(i) for i in r.antecedent],
             "consequent": [catalog.name_of(i) for i in r.consequent],
-            **dict(zip(METRIC_KEYS, floats(r))),
+            **dict(zip(METRIC_KEYS, metric_values(*r[2:], n))),
             "n_transactions": n,
             "support_count": r.count,
             "antecedent_count": r.antecedent_count,
@@ -93,7 +88,7 @@ def emit_report(rs: RuleSet, catalog: ItemCatalog, fmt: str) -> str:
     def row_cells(r):
         # str.format rounds half-even on the underlying binary value
         return [_names(r.antecedent, catalog), _names(r.consequent, catalog),
-                *(f"{v:.4f}" for v in floats(r))]
+                *(f"{v:.4f}" for v in metric_values(*r[2:], n))]
 
     if fmt == "csv":
         return csv_text(chain([REPORT_COLUMNS], map(row_cells, rs.rules)))

@@ -115,7 +115,7 @@ class PatientTable(Record):
         ``id``): an empty cell or an absent column."""
         if name == "age":
             return value_rows(self.age, lambda a: a is None).get(True, 0) if None in self.age else 0
-        return ((1 << len(self)) - 1) & ~reduce(or_, getattr(self, name).values())
+        return ((1 << len(self)) - 1) & ~reduce(or_, getattr(self, name).values(), 0)
 
     @property
     def rows(self) -> Sequence[PatientRecord]:
@@ -209,10 +209,10 @@ def age_bucket(age: int | None) -> str | None:
 def _age_cell(v: str) -> int | None:
     if not v:
         return None
-    try:
-        age = int(v)
-    except ValueError:
-        raise ValueError(f"not an integer: {v!r}") from None
+    digits = v[1:] if v[0] == "-" else v  # an optional "-", then ASCII digits only
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {v!r}")
+    age = int(v)
     if age < 0:
         raise ValueError(f"negative age {age}")
     return age

@@ -5,11 +5,10 @@ and Y; its RuleSet holds the row count n once. Generation and reports work
 on these integers alone. ``RuleSet.metrics`` gives one rule's exact
 Fraction metrics on request.
 
-Metrics follow the usual definitions: confidence = support / antecedent
-support, lift = support / (antecedent support * consequent support),
-leverage = support - antecedent support * consequent support. ``metrics``
-takes Fraction supports, and all four come out exact; floats are equally
-accepted for reconstructing metrics from published (rounded) tables.
+``metric_values`` states the six metric formulas once, over counts among
+n rows for reports and over supports (n = 1) for ``metrics``, which checks
+them first. Fraction supports give exact metrics; floats are accepted for
+reconstructing metrics from published (rounded) tables.
 """
 
 from __future__ import annotations
@@ -58,6 +57,13 @@ class RuleSet(Record):
         )
 
 
+def metric_values(c_xy: Number, c_x: Number, c_y: Number, n: Number) -> tuple:
+    """The six metrics of X => Y in MetricSet order, unchecked, from the
+    counts of X∪Y, X and Y among n rows (a Rule's last three fields)."""
+    return (c_x / n, c_y / n, c_xy / n, c_xy / c_x, c_xy * n / (c_x * c_y),
+            (c_xy * n - c_x * c_y) / (n * n))
+
+
 def metrics(supp_xy: Number, supp_x: Number, supp_y: Number) -> MetricSet:
     """MetricSet from the joint and marginal supports of a rule X => Y."""
     if supp_x == 0 or supp_y == 0:
@@ -66,14 +72,20 @@ def metrics(supp_xy: Number, supp_x: Number, supp_y: Number) -> MetricSet:
         raise InconsistentSupportError(
             f"joint support {supp_xy} exceeds a marginal ({supp_x}, {supp_y})"
         )
-    return MetricSet(
-        antecedent_support=supp_x,
-        consequent_support=supp_y,
-        support=supp_xy,
-        confidence=supp_xy / supp_x,
-        lift=supp_xy / (supp_x * supp_y),
-        leverage=supp_xy - supp_x * supp_y,
-    )
+    return MetricSet(*metric_values(supp_xy, supp_x, supp_y, 1))
+
+
+def _partitions(z: Itemset, target: Itemset | None):
+    """Each (X, Y) a rule is built from in z: every non-empty proper subset
+    Y with X = z minus Y, or for a target T only (z minus T, T) when z ⊋ T."""
+    if target is None:
+        for r in range(1, len(z)):
+            for y in combinations(z, r):
+                yield tuple(i for i in z if i not in y), y
+    else:
+        x = tuple(i for i in z if i not in target)
+        if x and len(x) + len(target) == len(z):
+            yield x, target
 
 
 def _least_undefined(counts: dict[Itemset, int], target: Itemset | None):
@@ -81,9 +93,8 @@ def _least_undefined(counts: dict[Itemset, int], target: Itemset | None):
     count 0, or None.
 
     Only an itemset W of count 0 can be that X or Y. With a target, W is
-    X∪Y and Y is the target. Without one, ``counts`` is downward closed, so
-    the least partner of W on either side is (j,) for the least j with
-    W∪{j} counted.
+    X∪Y. Without one, ``counts`` is downward closed, so the least partner
+    of W on either side is (j,) for the least j with W∪{j} counted.
     """
     singles = sorted(s for s in counts if len(s) == 1)
     found = []
@@ -94,25 +105,21 @@ def _least_undefined(counts: dict[Itemset, int], target: Itemset | None):
             if j:
                 found += [(w, j), (j, w)]
         else:
-            x = tuple(i for i in w if i not in target)
-            y = tuple(i for i in w if i in target)
-            if y == tuple(target) and x and y and 0 in (counts.get(x), counts.get(y)):
-                found.append((x, y))
+            found += [(x, y) for x, y in _partitions(w, target)
+                      if 0 in (counts.get(x), counts.get(y))]
     return min(found, default=None)
 
 
 def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
     """Every partition X => Y of every frequent itemset Z that passes the
-    thresholds, ranked by descending support, then descending confidence,
-    then X and Y.
+    thresholds (``_partitions``), ranked by descending support, then
+    descending confidence, then X and Y.
 
-    Y ranges over the non-empty proper subsets of Z, or is only
-    target_consequent when one is set, and X = Z minus Y. The filters,
-    confidence >= min_confidence and lift strictly > min_lift, are decided
-    on integer counts by ``min_count``, and each rule keeps only its counts.
-    When some partition's X or Y has count 0, no metric is defined and the
-    least such (X, Y) in canonical order is named in the error, and is its
-    ``pair``, whatever order ``fi.counts`` has.
+    The filters, confidence >= min_confidence and lift strictly >
+    min_lift, are decided on integer counts by ``min_count``, and each rule
+    keeps only its counts. When some partition's X or Y has count 0, no
+    metric is defined and the least such (X, Y) in canonical order is named
+    in the error, and is its ``pair``, whatever order ``fi.counts`` has.
     """
     n = fi.n_transactions
     conf_need = min_count(cfg.min_confidence)
@@ -124,15 +131,9 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
             exc = UndefinedMetricError("metrics undefined for zero count: %s => %s" % undefined)
             exc.pair = undefined
             raise exc
-    kept = []
+    rules = []
     for z, c_xy in fi.counts.items():
-        if target is None:
-            consequents = [y for r in range(1, len(z)) for y in combinations(z, r)]
-        else:
-            y = tuple(i for i in z if i in target)
-            consequents = [y] if y == tuple(target) and 0 < len(y) < len(z) else []
-        for y in consequents:
-            x = tuple(i for i in z if i not in y)
+        for x, y in _partitions(z, target):
             try:
                 c_x, c_y = fi.counts[x], fi.counts[y]
             except KeyError as exc:
@@ -144,8 +145,7 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
                     f"joint count {c_xy} exceeds a marginal ({c_x}, {c_y})"
                 )
             if c_xy >= conf_need(c_x) and c_xy * n >= lift_need(c_x * c_y):
-                # support descending, then confidence descending: for equal
-                # joint counts the smaller antecedent count has more confidence
-                kept.append((-c_xy, c_x, x, y, c_y))
-    kept.sort()
-    return RuleSet([Rule(x, y, -neg_c_xy, c_x, c_y) for neg_c_xy, c_x, x, y, c_y in kept], n)
+                rules.append(Rule(x, y, c_xy, c_x, c_y))
+    # for equal joint counts the smaller antecedent count has more confidence
+    rules.sort(key=lambda r: (-r.count, r.antecedent_count, r.antecedent, r.consequent))
+    return RuleSet(rules, n)

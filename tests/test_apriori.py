@@ -146,6 +146,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             MiningConfig(max_len=0)
 
+    def test_empty_target(self):
+        with pytest.raises(ConfigError, match="target_consequent must name at least one item"):
+            MiningConfig(target_consequent=())
+
     def test_rebuilt_config_is_checked(self):
         cfg = MiningConfig(min_support=0.5, max_len=2)
         assert MiningConfig(**vars(cfg)) == cfg

@@ -9,6 +9,7 @@ every error message.
 
 import csv
 import io
+import re
 from functools import reduce
 from operator import or_
 from unittest.mock import patch
@@ -62,10 +63,9 @@ def rowwise_parse(text):
         cell = dict(zip(header, cells))
         age = cell.get("age") or None
         if age is not None:
-            try:
-                age = int(age)
-            except ValueError:
-                raise ParseError(f"row {lineno}, column age: not an integer: {age!r}") from None
+            if not re.fullmatch("-?[0-9]+", age):
+                raise ParseError(f"row {lineno}, column age: not an integer: {age!r}")
+            age = int(age)
             if age < 0:
                 raise ParseError(f"row {lineno}, column age: negative age {age}")
         values = {}
@@ -158,7 +158,7 @@ VALID = {
     **{name: st.sampled_from(("", a, b)) for name, (a, b) in CHOICES.items()},
 }
 BAD = {
-    "age": st.sampled_from(["-3", "x", "4.5", "-0"]),
+    "age": st.sampled_from(["-3", "x", "4.5", "-0", "5_0", "+5", " 5", "\u0665"]),
     **{name: st.sampled_from([a.lower() + "?", b.upper(), " "]) for name, (a, b) in CHOICES.items()},
 }
 
@@ -237,6 +237,7 @@ def parsed(table):
 @example("id,age,f\nb,4,0\na,5,x,1\n7,0\n", 4096, False)
 @example("id,age,f\nx,6,0\n\u00e9\u20ac\U0001f600,5,1\ny,7,1\n", 4096, False)  # a non-ASCII id
 @example("age,f\n5,\udc80\n", 4096, False)  # a lone surrogate in a symptom cell of a str source
+@example("age,f\n5,1\n5_0,0\n", 4096, False)  # an age cell int() reads as 50
 def test_parse_matches_rowwise(text, chunk_rows, stream):
     source = io.StringIO(text, newline="") if stream else text
     with patch.object(ingest, "CHUNK_ROWS", chunk_rows):

@@ -9,6 +9,7 @@ from rulemine.ingest import (
     CohortSelector,
     DerivationConfig,
     PatientRecord,
+    PatientTable,
     age_bucket,
     build_catalog,
     derive_items,
@@ -62,6 +63,17 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_patient_csv(text)
         assert str(exc.value) == "row 3, column age: negative age -3"
+
+    @pytest.mark.parametrize("chunk", ["fast", "csv"])
+    @pytest.mark.parametrize("cell", ["5_0", "\u0665", " 5", "+5"])
+    def test_age_is_an_optional_minus_then_ascii_digits(self, chunk, cell):
+        # int() would read each of these cells as a number
+        text = f"id,age,fever\np1,5,1\np2,{cell},0\n"
+        if chunk == "csv":
+            text = text.replace("p1", '"p1"')
+        with pytest.raises(ParseError) as exc:
+            parse_patient_csv(text)
+        assert str(exc.value) == f"row 3, column age: not an integer: {cell!r}"
 
     def test_crlf_accepted(self):
         table = parse_patient_csv(CSV.replace("\n", "\r\n"))
@@ -182,6 +194,13 @@ class TestDeriveItems:
         catalog = build_catalog(table, self.CFG)
         with pytest.raises(SchemaError):
             derive_items(table, self.CFG, catalog)
+
+    def test_an_empty_value_map_is_every_row_missing(self):
+        table = PatientTable(["fever"], [1], [30], sex={}, outcome={}, lab_result={})
+        cfg = DerivationConfig(include_sex=True)
+        with pytest.raises(SchemaError) as exc:
+            derive_items(table, cfg, build_catalog(table, cfg))
+        assert str(exc.value) == "row 2: sex derivation enabled but sex missing"
 
     def test_lab_item_only_when_present(self):
         text = "age,sex,outcome,lab_result,fever\n30,M,recovered,pos,1\n40,F,recovered,,1\n"

@@ -12,6 +12,7 @@ from rulemine.errors import (
     InternalError,
     UndefinedMetricError,
 )
+from rulemine.oracle import brute_rules
 from rulemine.rules import generate_rules, metrics
 
 from conftest import transaction_sets
@@ -111,8 +112,18 @@ def test_target_consequent_equals_filtered_untargeted(ts, min_support, min_confi
     fi = mine_frequent(ts, cfg)
     untargeted = generate_rules(fi, cfg)
     for target in fi.counts:
-        targeted = generate_rules(fi, MiningConfig(**(vars(cfg) | {"target_consequent": target})))
+        canonical = MiningConfig(**(vars(cfg) | {"target_consequent": target}))
+        targeted = generate_rules(fi, canonical)
         assert targeted.rules == [r for r in untargeted if r.consequent == target]
+        # the target reversed or with an item repeated is the same target; the
+        # oracle reads the target's family, which holds every count it looks up
+        family = mine_frequent(ts, canonical)
+        assert brute_rules(family, canonical).rules == targeted.rules
+        for given_as in (target[::-1], target + target[:1]):
+            tcfg = MiningConfig(**(vars(cfg) | {"target_consequent": given_as}))
+            assert tcfg == canonical and mine_frequent(ts, tcfg) == family
+            assert generate_rules(fi, tcfg).rules == targeted.rules
+            assert brute_rules(family, tcfg).rules == targeted.rules
 
 
 class TestZeroCount:
