@@ -210,9 +210,12 @@ def _age_cell(v: str) -> int | None:
     if not v:
         return None
     digits = v[1:] if v[0] == "-" else v  # an optional "-", then ASCII digits only
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {v!r}")
-    age = int(v)
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        age = int(v)  # refuses more digits than sys.get_int_max_str_digits() too
+    except ValueError:
+        raise ValueError(f"not an integer: {v!r}") from None
     if age < 0:
         raise ValueError(f"negative age {age}")
     return age

@@ -65,9 +65,11 @@ class TestParse:
         assert str(exc.value) == "row 3, column age: negative age -3"
 
     @pytest.mark.parametrize("chunk", ["fast", "csv"])
-    @pytest.mark.parametrize("cell", ["5_0", "\u0665", " 5", "+5"])
+    @pytest.mark.parametrize(
+        "cell", ["5_0", "\u0665", " 5", "+5", pytest.param("1" * 5000, id="5000-digits")]
+    )
     def test_age_is_an_optional_minus_then_ascii_digits(self, chunk, cell):
-        # int() would read each of these cells as a number
+        # int() would read each of the first four cells as a number, and refuses the last
         text = f"id,age,fever\np1,5,1\np2,{cell},0\n"
         if chunk == "csv":
             text = text.replace("p1", '"p1"')
