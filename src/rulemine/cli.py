@@ -67,8 +67,8 @@ def _md_cell(text: str) -> str:
 def emit_report(rs: RuleSet, catalog: ItemCatalog, fmt: str) -> str:
     """Render a RuleSet as csv, markdown, or json (full precision + counts).
 
-    Every metric is ``metric_values`` of the rule's integer counts, ``r[2:]``:
-    int / int is correctly rounded, so each float is that of the exact Fraction.
+    Every metric is ``metric_values`` of the rule's integer counts: int / int
+    is correctly rounded, so each float is that of the exact Fraction.
     """
     n = rs.n_transactions
     if fmt == "json":
@@ -77,7 +77,8 @@ def emit_report(rs: RuleSet, catalog: ItemCatalog, fmt: str) -> str:
         out = [{
             "antecedent": [catalog.name_of(i) for i in r.antecedent],
             "consequent": [catalog.name_of(i) for i in r.consequent],
-            **dict(zip(METRIC_KEYS, metric_values(*r[2:], n))),
+            **dict(zip(METRIC_KEYS, metric_values(
+                r.count, r.antecedent_count, r.consequent_count, n))),
             "n_transactions": n,
             "support_count": r.count,
             "antecedent_count": r.antecedent_count,
@@ -86,9 +87,10 @@ def emit_report(rs: RuleSet, catalog: ItemCatalog, fmt: str) -> str:
         return json.dumps(out, indent=2) + "\n"
 
     def row_cells(r):
+        values = metric_values(r.count, r.antecedent_count, r.consequent_count, n)
         # str.format rounds half-even on the underlying binary value
         return [_names(r.antecedent, catalog), _names(r.consequent, catalog),
-                *(f"{v:.4f}" for v in metric_values(*r[2:], n))]
+                *(f"{v:.4f}" for v in values)]
 
     if fmt == "csv":
         return csv_text(chain([REPORT_COLUMNS], map(row_cells, rs.rules)))

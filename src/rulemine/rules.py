@@ -59,7 +59,7 @@ class RuleSet(Record):
 
 def metric_values(c_xy: Number, c_x: Number, c_y: Number, n: Number) -> tuple:
     """The six metrics of X => Y in MetricSet order, unchecked, from the
-    counts of X∪Y, X and Y among n rows (a Rule's last three fields)."""
+    counts of X∪Y, X and Y among n rows."""
     return (c_x / n, c_y / n, c_xy / n, c_xy / c_x, c_xy * n / (c_x * c_y),
             (c_xy * n - c_x * c_y) / (n * n))
 
@@ -79,9 +79,10 @@ def _partitions(z: Itemset, target: Itemset | None):
     """Each (X, Y) a rule is built from in z: every non-empty proper subset
     Y with X = z minus Y, or for a target T only (z minus T, T) when z ⊋ T."""
     if target is None:
+        # in lexicographic order, the complement of the k-th r-subset of z is
+        # the k-th (len(z) - r)-subset from the end
         for r in range(1, len(z)):
-            for y in combinations(z, r):
-                yield tuple(i for i in z if i not in y), y
+            yield from zip(reversed(list(combinations(z, len(z) - r))), combinations(z, r))
     else:
         x = tuple(i for i in z if i not in target)
         if x and len(x) + len(target) == len(z):
