@@ -3,9 +3,9 @@
 ``brute_frequent`` adds each distinct transaction's weight to each of its
 subsets, with no candidates, covers or prefix classes; ``brute_rules`` reads
 that lattice's counts. Both re-state the threshold predicates and the ranking
-on purpose (on exact Fraction metrics against the decimal threshold, not
-imported from the apriori or rules modules), so a threshold or ordering bug
-in either path shows up as a disagreement.
+on purpose, on exact Fractions of counts against the decimal threshold, and
+take no formula, predicate or rank from the apriori or rules modules, so a
+bug in either path shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from math import comb
 
 from .apriori import FrequentItemsets, MiningConfig
 from .core import TransactionSet
-from .errors import CapacityError, UndefinedSupportError
-from .rules import Rule, RuleSet, metrics
+from .errors import CapacityError, UndefinedMetricError, UndefinedSupportError
+from .rules import Rule, RuleSet
 
 MAX_ORACLE_SUBSETS = 1 << 24
 
@@ -56,24 +56,24 @@ def brute_frequent(
 
 
 def brute_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
-    """All rules over ``brute_frequent``'s lattice, filtered on exact
-    metrics and ranked by descending support, then descending confidence,
-    then antecedent and consequent lexicographically. The lattice lists
-    each part of an itemset too, as a subset has at least its support."""
+    """Each X => Y of each Z in ``brute_frequent``'s lattice (which lists X and Y
+    too) with confidence c(Z)/c(X) at least, and lift c(Z)·n/(c(X)·c(Y)) above,
+    its threshold, ranked by descending count (so support), then confidence,
+    then X, then Y. An X or Y of count 0 has no metrics."""
     n = fi.n_transactions
-    min_confidence = _decimal(cfg.min_confidence)
-    min_lift = _decimal(cfg.min_lift)
-    ranked = []
-    for z in fi.counts:
+    min_confidence, min_lift = _decimal(cfg.min_confidence), _decimal(cfg.min_lift)
+    rules = []
+    for z, c_z in fi.counts.items():
         for r in range(1, len(z)):
-            for ant in combinations(z, r):
-                cons = tuple(i for i in z if i not in ant)
-                if cfg.target_consequent is not None and cons != tuple(cfg.target_consequent):
+            for x in combinations(z, r):
+                y = tuple(i for i in z if i not in x)
+                if cfg.target_consequent not in (None, y):
                     continue
-                c_z, c_a, c_c = fi.counts[z], fi.counts[ant], fi.counts[cons]
-                m = metrics(Fraction(c_z, n), Fraction(c_a, n), Fraction(c_c, n))
-                if m.confidence >= min_confidence and m.lift > min_lift:
-                    key = (-m.support, -m.confidence, ant, cons)
-                    ranked.append((key, Rule(ant, cons, c_z, c_a, c_c)))
-    ranked.sort(key=lambda kr: kr[0])
-    return RuleSet([rule for _, rule in ranked], n)
+                c_x, c_y = fi.counts[x], fi.counts[y]
+                if 0 in (c_x, c_y):
+                    raise UndefinedMetricError(f"metrics undefined for zero count: {x} => {y}")
+                if Fraction(c_z, c_x) >= min_confidence and Fraction(c_z * n, c_x * c_y) > min_lift:
+                    rules.append(Rule(x, y, c_z, c_x, c_y))
+    rules.sort(key=lambda r: (-r.count, -Fraction(r.count, r.antecedent_count),
+                              r.antecedent, r.consequent))
+    return RuleSet(rules, n)

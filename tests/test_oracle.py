@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rulemine import rules
 from rulemine.apriori import FrequentItemsets, MiningConfig, mine_frequent
 from rulemine.core import TransactionSet
 from rulemine.errors import CapacityError, UndefinedMetricError, UndefinedSupportError
@@ -213,11 +214,29 @@ def test_zero_support_with_absent_item_is_undefined(target):
         _oracle_rules(ts, cfg)
 
 
-def test_randomized_agreement():
+def _random_cases():
+    """40 seeded random transaction sets, each with a support threshold."""
     rng = random.Random(2024)
     for _ in range(40):
         ts = random_transaction_set(rng, max_items=7, max_transactions=24)
-        min_support = rng.choice([0.05, 0.1, 0.2, 0.3, 0.5])
+        yield ts, rng.choice([0.05, 0.1, 0.2, 0.3, 0.5])
+
+
+def test_randomized_agreement():
+    for ts, min_support in _random_cases():
         cfg = MiningConfig(min_support=min_support)
         assert mine_frequent(ts, cfg).counts == brute_frequent(ts, min_support).counts
         assert generate_rules(mine_frequent(ts, cfg), cfg).rules == _oracle_rules(ts, cfg).rules
+
+
+def test_oracle_states_its_own_metrics(monkeypatch):
+    # the report's metric formulas broken, the oracle still ranks and filters
+    # every rule as the miner does: it restates them rather than borrowing them
+    def broken(*args):
+        raise AssertionError("the oracle called rules.metric_values")
+
+    monkeypatch.setattr(rules, "metric_values", broken)
+    for ts, min_support in _random_cases():
+        for target in (None, (0,), (0, 1)):
+            cfg = MiningConfig(min_support=min_support, target_consequent=target)
+            assert generate_rules(mine_frequent(ts, cfg), cfg).rules == _oracle_rules(ts, cfg).rules
