@@ -281,9 +281,17 @@ def _write_output(args, blocks: Iterable[str]) -> None:
         except OSError as exc:
             raise RuleMineError(f"cannot write output file {args.output}: {exc.strerror}") from None
     else:
+        # the --output bytes whatever the stream's encoding; a text stream
+        # with no byte buffer under it (a StringIO) takes the text
+        out = getattr(sys.stdout, "buffer", None)
         try:
-            sys.stdout.writelines(blocks)
-            sys.stdout.flush()
+            if out is None:
+                sys.stdout.writelines(blocks)
+                sys.stdout.flush()
+            else:
+                sys.stdout.flush()  # any text written ahead of these bytes
+                out.writelines(block.encode("utf-8") for block in blocks)
+                out.flush()
         except OSError as exc:
             # fd 1 to devnull, as Python's signal docs advise after a broken
             # pipe: the interpreter's final flush of what the buffer still
@@ -363,8 +371,6 @@ def _rules(fi, mcfg: MiningConfig, catalog: ItemCatalog) -> RuleSet:
     try:
         return generate_rules(fi, mcfg)
     except UndefinedMetricError as exc:
-        if exc.pair is None:
-            raise
         x, y = (_names(s, catalog) for s in exc.pair)
         raise RuleMineError(f"metrics undefined for zero count: {x} => {y}") from None
 

@@ -263,6 +263,8 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
         raise SchemaError("empty file: no header row") from None
     except csv.Error as exc:
         raise ParseError(f"row {reader.line_num}: {exc}") from None
+    if "" in header:
+        raise SchemaError(f"row 1: column {header.index('') + 1} has an empty header name")
     if len(header) != len(set(header)):
         dupes = sorted({c for c in header if header.count(c) > 1})
         raise SchemaError(f"duplicate header names: {', '.join(dupes)}")

@@ -653,6 +653,15 @@ class TestBadInputAndOutput:
                 assert (rc, out) == (1, "")
                 assert err == "error: row 4: age derivation enabled but age missing\n"
 
+    @pytest.mark.parametrize("header,column", [("Apnea,Cough,", 3), ("Apnea,,Cough,", 2)])
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["quote_free", "quoted"])
+    def test_empty_header_name_names_its_column(self, capsys, tmp_path, header, column, quote):
+        rows = [header.split(","), ["1"] * (header.count(",") + 1)]
+        path = tmp_path / "blank.csv"
+        path.write_text("".join(",".join(quote + c + quote for c in row) + "\n" for row in rows))
+        rc, out, err = self._run(capsys, ["mine", "--input", str(path)])
+        assert (rc, out, err) == (1, "", f"error: row 1: column {column} has an empty header name\n")
+
     def test_negative_age_names_the_row(self, capsys, tmp_path):
         path = tmp_path / "age.csv"
         path.write_text("age,Fever\n30,1\n-3,0\n")

@@ -1,7 +1,7 @@
 """The process entry ``cli.run``: ``python -m rulemine``, ``python -m
 rulemine.cli`` and the ``rulemine`` script freeze the heap once ``main()``
-returns, keep its exit code, and report an unwritable stdout as a data
-error."""
+returns, keep its exit code, report an unwritable stdout as a data error,
+and write the ``--output`` bytes to stdout whatever its encoding."""
 
 import gc
 import os
@@ -126,3 +126,19 @@ def test_closed_pipe_is_a_data_error(env):
     finally:
         os.close(write_end)
     _assert_stdout_error(child, "Broken pipe")
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize("name", ["发热", "Fièvre"], ids=["cjk", "accented"])
+def test_stdout_is_the_output_bytes_in_any_encoding(tmp_path, encoding, name):
+    path = tmp_path / "cohort.csv"
+    path.write_text(f"age,sex,outcome,{name},Cough\n30,M,recovered,1,1\n"
+                    "40,F,deceased,1,0\n50,M,recovered,0,1\n", encoding="utf-8")
+    argv = ["mine", "--input", str(path), "--min-lift", "0"]
+    report = tmp_path / "report.csv"
+    assert main([*argv, "--output", str(report)]) == 0
+    child = subprocess.run([sys.executable, "-m", "rulemine", *argv], capture_output=True,
+                           env=ENV | {"PYTHONIOENCODING": encoding})
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout == report.read_bytes()
+    assert name.encode("utf-8") in child.stdout
