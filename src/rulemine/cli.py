@@ -281,17 +281,9 @@ def _write_output(args, blocks: Iterable[str]) -> None:
         except OSError as exc:
             raise RuleMineError(f"cannot write output file {args.output}: {exc.strerror}") from None
     else:
-        # the --output bytes whatever the stream's encoding; a text stream
-        # with no byte buffer under it (a StringIO) takes the text
-        out = getattr(sys.stdout, "buffer", None)
         try:
-            if out is None:
-                sys.stdout.writelines(blocks)
-                sys.stdout.flush()
-            else:
-                sys.stdout.flush()  # any text written ahead of these bytes
-                out.writelines(block.encode("utf-8") for block in blocks)
-                out.flush()
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
         except OSError as exc:
             # fd 1 to devnull, as Python's signal docs advise after a broken
             # pipe: the interpreter's final flush of what the buffer still
@@ -536,9 +528,12 @@ def run() -> int:
     so the collections of interpreter shutdown visit nothing; module
     teardown, the stdio flush and ``atexit`` run as before. ``main()`` does
     not freeze, as in-process callers would then keep every uncollected
-    cycle for the life of their process.
+    cycle for the life of their process. Stdout is re-encoded as UTF-8 first,
+    so a report there is the ``--output`` bytes whatever the locale.
     """
     try:
+        if sys.stdout is not None:  # None when the process starts with fd 1 closed
+            sys.stdout.reconfigure(encoding="utf-8")
         return main()
     finally:
         gc.freeze()

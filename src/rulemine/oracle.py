@@ -2,10 +2,9 @@
 
 ``brute_frequent`` adds each distinct transaction's weight to each of its
 subsets, with no candidates, covers or prefix classes; ``brute_rules`` reads
-that lattice's counts. Both re-state the threshold predicates and the ranking
-on purpose, on exact Fractions of counts against the decimal threshold, and
-take no formula, predicate or rank from the apriori or rules modules, so a
-bug in either path shows up as a disagreement.
+that lattice's counts. Both restate the thresholds (on exact Fractions of
+counts against the decimal written) and the ranking, and take nothing from the
+apriori or rules modules' formulas, so a bug in either path shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -56,10 +55,11 @@ def brute_frequent(
 
 
 def brute_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
-    """Each X => Y of each Z in ``brute_frequent``'s lattice (which lists X and Y
-    too) with confidence c(Z)/c(X) at least, and lift c(Z)·n/(c(X)·c(Y)) above,
-    its threshold, ranked by descending count (so support), then confidence,
-    then X, then Y. An X or Y of count 0 has no metrics."""
+    """Each X => Y of each Z in ``fi`` with confidence c(Z)/c(X) at least, and
+    lift c(Z)·n/(c(X)·c(Y)) above, its threshold, ranked by descending count
+    (so support), then confidence, then X, then Y. An X or Y of count 0 has no
+    metrics. ``fi`` must be ``brute_frequent``'s lattice, which lists X and Y
+    and never counts Z above either; another lattice is not checked for that."""
     n = fi.n_transactions
     min_confidence, min_lift = _decimal(cfg.min_confidence), _decimal(cfg.min_lift)
     rules = []
