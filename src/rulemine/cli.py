@@ -10,6 +10,7 @@ branch that uses them, so ``mine``'s start-up loads none of them.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import math
 import os
@@ -280,6 +281,8 @@ def _write_output(args, blocks: Iterable[str]) -> None:
                 fh.writelines(blocks)
         except OSError as exc:
             raise RuleMineError(f"cannot write output file {args.output}: {exc.strerror}") from None
+    elif sys.stdout is None:  # the process started with fd 1 closed
+        raise RuleMineError(f"cannot write to stdout: {os.strerror(errno.EBADF)}")
     else:
         try:
             sys.stdout.writelines(blocks)

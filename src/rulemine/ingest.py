@@ -8,20 +8,24 @@ transaction items so they can appear inside rules.
 Tables are columnar from the CSV to the miner: each symptom column is one
 row bitset, ``sex``, ``outcome`` and ``lab_result`` are one row bitset per
 value, and ``age`` is one per-row list. Parsing turns blocks of about
-CHUNK_ROWS lines into columns, and cohort filters, derived items and the
-sparse-patient drop work on whole columns, so every stage takes time
-linear in the number of cells. The per-row work runs inside str and bytes
-methods: a quote-free chunk, under any header, is cut by slicing each line
-before the symptoms after its last reserved column, which are then sliced
-into columns by character; the heads' commas are counted in one
-``bytes.translate`` and the heads split at commas as one string, so no
-line becomes a list. The cells of a bitset column become one code byte
-per row, and its row bitsets come from ``bytes.translate`` at the end of
-the parse. A cohort (``cohort_rows``) and the sparse drop each restrict
-the TransactionSet's row set, so no row is renumbered before the miner.
-LF, CRLF and a lone CR each end a line, so a file with any of them takes
-that path. Row line numbers are an ``array`` only from the first row
-that is not on line t + 2; before that they are a ``range``.
+CHUNK_ROWS (1024) lines into columns, and cohort filters, derived items
+and the sparse-patient drop work on whole columns, so every stage takes
+time linear in the number of cells. The per-row work runs inside str and
+bytes methods: a quote-free chunk, under any header, is cut by slicing
+each line before the symptoms after its last reserved column, which are
+then sliced into columns by character; the heads' commas are counted in
+one ``bytes.translate`` and the heads split at commas as one string, so
+no line becomes a list. A file with at most MEMO_HEADS (4096) distinct
+heads has each parsed once: every row takes its head's values from a
+memo of the heads parsed so far (about 400 in the 50k cohort), which
+starts over rather than hold more. The cells of a bitset column become
+one code byte per row, and its row bitsets come from ``bytes.translate``
+at the end of the parse. A cohort (``cohort_rows``) and the sparse drop
+each restrict the TransactionSet's row set, so no row is renumbered
+before the miner. LF, CRLF and a lone CR each end a line, so a file with
+any of them takes that path. Row line numbers are an ``array`` only from
+the first row that is not on line t + 2; before that they are a
+``range``.
 
 One parser per reserved column (``_CELLS``) decides whether a cell is
 valid and, when it is not, gives the error's text, both when a chunk is
@@ -66,7 +70,8 @@ RESERVED_COLUMNS = ("id", *_ITEMS)
 # the cohorts CohortSelector takes: every row, one outcome's rows, or an age range
 _COHORTS = ("all", *_ITEMS["outcome"], "age_range")
 
-CHUNK_ROWS = 4096  # about this many CSV rows are read and turned into columns at a time
+CHUNK_ROWS = 1024  # about this many CSV rows are read and turned into columns at a time
+MEMO_HEADS = 4 * CHUNK_ROWS  # at most about this many distinct heads are kept parsed at a time
 
 
 # one row of a PatientTable, built on access by PatientTable.rows
@@ -278,8 +283,9 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
     ages: list[int | None] = []
     codes = {name: bytearray() for name in CODED}  # empty for a column the CSV lacks
     line_numbers = None  # every row so far is on line t + 2
+    memo = [{} for _ in range(lead)]  # the parsed heads (_chunk_columns)
     for chunk, chunk_lines in _chunks(fh, reader.line_num):
-        got = _chunk_columns(chunk, header, lead)
+        got = _chunk_columns(chunk, header, lead, memo)
         if got is None:
             raise _first_error(chunk, chunk_lines, header)
         (chunk_ages, chunk_codes), chunk_covers = got
@@ -335,7 +341,8 @@ def _chunks(fh: io.TextIOBase, line_num: int) -> Iterator[tuple[list, Sequence[i
         rows = text.split("\n")
         if not rows[-1]:
             rows.pop()
-        if '"' in text or max(map(len, rows)) > csv.field_size_limit():
+        limit = csv.field_size_limit()  # no line is longer than its block
+        if '"' in text or (len(text) > limit and max(map(len, rows)) > limit):
             reader = csv.reader(chain(io.StringIO(block, newline=""), fh))
             records, starts = [], []
             start = line_num + 1  # the line the next record starts on
@@ -364,7 +371,7 @@ def _chunks(fh: io.TextIOBase, line_num: int) -> Iterator[tuple[list, Sequence[i
         block = fh.read(size) + fh.readline()
 
 
-def _chunk_columns(chunk: list, header: list[str], lead: int):
+def _chunk_columns(chunk: list, header: list[str], lead: int, memo: list[dict]):
     """The reserved values and symptom row bitsets of a chunk (bit t for
     its row t), or None when a row is not one valid cell per ``header``
     column.
@@ -374,12 +381,15 @@ def _chunk_columns(chunk: list, header: list[str], lead: int):
     reserved column, so no line becomes a list: joined, those tails must
     be S pairs of a comma and a 0 or 1 each. Their flags read backwards,
     row n-1's last first, hold symptom j's as every S-th character from
-    S-1-j, which is its bitset in binary. The heads must hold ``lead``
-    cells each: joined with line ends, their commas and line ends must be
-    ``lead`` - 1 commas per head, checked in one ``bytes.translate``.
-    Joined with commas and split, column k is every ``lead``-th cell from
-    k. Every symptom that is not in a tail is a column of cells, each 0
-    or 1.
+    S-1-j, which is its bitset in binary. Where a chunk's heads repeat,
+    only those not in ``memo`` are parsed (``memo[k]`` maps each head
+    parsed so far to its cell k's value, and starts over rather than hold
+    more than MEMO_HEADS heads) and each row takes its head's values from
+    ``memo``. The heads parsed must hold ``lead`` cells each: joined with
+    line ends, their commas and line ends must be ``lead`` - 1 commas per
+    head, checked in one ``bytes.translate``. Joined with commas and
+    split, column k is every ``lead``-th cell from k. Every symptom that
+    is not in a tail is a column of cells, each 0 or 1.
     """
     n = len(chunk)
     trailing = []
@@ -398,47 +408,62 @@ def _chunk_columns(chunk: list, header: list[str], lead: int):
         if (len(tails) != 2 * tail * n or tails[::2] != "," * len(flags)
                 or flags.encode(errors="surrogatepass").translate(None, b"01")):
             return None
-        if heads:
-            # UTF-8 puts no 0x2C or 0x0A inside a multi-byte character
-            text = "\n".join(heads).encode(errors="surrogatepass")
-            marks = b"," * (lead - 1)
-            if text.translate(None, _NOT_COMMA_OR_LF) != (marks + b"\n") * (n - 1) + marks:
-                return None
-        cells = ",".join(heads).split(",")
-        columns = [cells[k::lead] for k in range(lead)]
         trailing = [int(flags[tail - 1 - j :: tail], 2) for j in range(tail)]
+        new = heads  # the heads to parse
+        if heads and len(distinct := set(heads)) < n:
+            new = list(distinct.difference(memo[0]))
+            if len(memo[0]) + len(new) > MEMO_HEADS:
+                for column in memo:
+                    column.clear()
+                new = list(distinct)
+        if new:
+            # UTF-8 puts no 0x2C or 0x0A inside a multi-byte character
+            text = "\n".join(new).encode(errors="surrogatepass")
+            marks = b"," * (lead - 1)
+            if text.translate(None, _NOT_COMMA_OR_LF) != (marks + b"\n") * (len(new) - 1) + marks:
+                return None
+        cells = ",".join(new).split(",") if new else []
+        columns = [cells[k::lead] for k in range(lead)]
     elif set(map(len, chunk)) == {len(header)}:
+        heads = new = None
         columns = list(zip(*chunk))
     else:
         return None
-    leading = [column for name, column in zip(header, columns) if name not in RESERVED_COLUMNS]
-    if not all(map(_FLAG_CELLS.issuperset, leading)):
-        return None
-    leading = [flags_to_bits("".join(column)) for column in leading]
     try:
-        return _values(dict(zip(header, columns)), n), [*leading, *trailing]
-    except ValueError:  # a bad reserved cell
+        values = _values(header, columns)
+    except ValueError:  # a bad cell
         return None
+    if new is not heads:
+        for column, v in zip(memo, values):
+            column.update(zip(new, v))
+        values = [map(column.__getitem__, heads) for column in memo]
+    named = dict(zip(header, values))
+    codes = {name: bytes(named[name]) for name in CODED if name in named}
+    leading = [flags_to_bits("".join(v)) for k, v in named.items() if k not in RESERVED_COLUMNS]
+    return (named.get("age", repeat(None, n)), codes), [*leading, *trailing]
 
 
-def _values(columns: dict[str, Sequence[str]], n: int) -> tuple[Iterable, dict[str, bytes]]:
-    """The ages of ``n`` rows (None throughout when the CSV lacks the
-    column) and the code bytes (``CODED``) of each other reserved column
-    the CSV has, each distinct cell parsed once."""
-    ages: Iterable = repeat(None, n)
-    codes = {}
-    for name, parse in _CELLS.items():
-        cells = columns.get(name)
-        if cells is None:
-            continue
-        if name == "age":
+def _values(header: list[str], columns: list[Sequence[str]]) -> list[Iterable]:
+    """The values of the cells of each column, column k under ``header[k]``:
+    an age's int or None, the code byte (``CODED``) of a cell of another
+    reserved column, the cell itself of an ``id`` or a symptom, each
+    distinct reserved cell parsed once. Raises ValueError at a bad cell.
+    """
+    values = []
+    for name, cells in zip(header, columns):
+        parse = _CELLS.get(name)
+        if parse is None:
+            if name != "id" and not _FLAG_CELLS.issuperset(cells):
+                raise ValueError
+            values.append(cells)
+        elif name == "age":
             memo = {v: parse(v) for v in set(cells)}
-            ages = map(memo.__getitem__, cells)
+            values.append(map(memo.__getitem__, cells))
         else:
             code = {v: k for k, v in enumerate(CODED[name])}
             memo = {v: code[parse(v)] for v in set(cells)}
-            codes[name] = bytes(map(memo.__getitem__, cells))
-    return ages, codes
+            values.append(bytes(map(memo.__getitem__, cells)))
+    return values
 
 
 def _first_error(chunk: list, lines: Sequence[int], header: list[str]) -> RuleMineError:

@@ -10,6 +10,7 @@ every error message.
 import csv
 import io
 import re
+from contextlib import contextmanager
 from functools import reduce
 from operator import or_
 from unittest.mock import patch
@@ -525,6 +526,95 @@ def test_id_columns_parse_to_the_table_without_them(header):
     with patch.object(ingest, "CHUNK_ROWS", 4):
         assert parse_patient_csv(text(header)) == plain
     assert parse_patient_csv(text(header)) == plain
+
+
+# ---------------------------------------------------------------- parsed heads
+
+
+def head_cell(name, t):
+    """Row t's cell of column ``name``: its age, sex, outcome, f and g repeat
+    every 24 rows, its id and h do not."""
+    return {
+        "id": f"p{t}", "age": str(t % 24 // 4 * 13), "sex": "MF"[t % 2],
+        "outcome": ("recovered", "deceased")[t // 2 % 2],
+        "f": str(int(t % 3 == 0)), "g": str(int(t % 8 < 3)), "h": str(t * t % 7 % 2),
+    }[name]
+
+
+def cohort_text(header, n, cell=head_cell):
+    return "".join(",".join(row) + "\n" for row in [header, *(
+        [cell(name, t) for name in header] for t in range(n))])
+
+
+def as_records(text):
+    """``text`` with its first data cell quoted, so that csv.reader reads
+    every row, and no chunk is a quote-free one."""
+    head, rest = text.split("\n", 1)
+    first, _, others = rest.partition(",")
+    return f'{head}\n"{first}",{others}'
+
+
+@contextmanager
+def memo_sizes():
+    """Within it, each chunk parsed appends the number of parsed heads held
+    before it to the list it gives."""
+    real, sizes = ingest._chunk_columns, []
+
+    def chunk_columns(chunk, header, lead, memo):
+        sizes.append(len(memo[0]))
+        return real(chunk, header, lead, memo)
+
+    with patch.object(ingest, "_chunk_columns", chunk_columns):
+        yield sizes
+
+
+@pytest.mark.parametrize("header", [
+    ["age", "sex", "outcome", "f", "h"],
+    ["id", "age", "sex", "outcome", "f", "h"],
+    ["f", "g", "age", "sex", "outcome", "h"],
+], ids=["reserved_first", "id_first", "symptoms_first"])
+def test_heads_parse_to_the_table_of_csv_records(header):
+    text = cohort_text(header, 300)
+    with patch.object(ingest, "CHUNK_ROWS", 32):
+        with memo_sizes() as sizes:
+            table = parse_patient_csv(text)
+        assert table == parse_patient_csv(as_records(text))
+    assert parsed(table) == rowwise_parse(text)
+    if header[0] == "id":  # every head is distinct, so no chunk fills the memo
+        assert set(sizes) == {0}
+    else:  # the memo holds the 24 distinct heads
+        assert max(sizes) == 24
+
+
+def test_the_memo_starts_over_past_its_bound():
+    def cell(name, t):  # a new age every 20 rows: 60 distinct heads, at most 12 in 32 rows
+        return str(t // 20) if name == "age" else head_cell(name, t)
+
+    text = cohort_text(["age", "sex", "outcome", "f", "h"], 300, cell)
+    with patch.object(ingest, "CHUNK_ROWS", 32), patch.object(ingest, "MEMO_HEADS", 16):
+        with memo_sizes() as sizes:
+            table = parse_patient_csv(text)
+        assert table == parse_patient_csv(as_records(text))
+    assert parsed(table) == rowwise_parse(text)
+    assert max(sizes) <= 16
+    assert any(later < size for size, later in zip(sizes, sizes[1:]))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("4x,M,recovered,1,0", "row 251, column age: not an integer: '4x'"),
+    ("13,m,recovered,1,0", "row 251, column sex: expected M or F, got 'm'"),
+    ("13,M,dead,1,0", "row 251, column outcome: expected recovered or deceased, got 'dead'"),
+    ("13,recovered,1,0", "row 251: expected 5 cells, got 4"),
+    ("13,M,M,recovered,1,0", "row 251: expected 5 cells, got 6"),
+], ids=["age", "sex", "outcome", "short", "long"])
+def test_a_bad_head_first_seen_in_a_late_chunk_names_its_row(row, message):
+    lines = cohort_text(["age", "sex", "outcome", "f", "h"], 300).splitlines(keepends=True)
+    lines[250] = row + "\n"  # line 251
+    text = "".join(lines)
+    with patch.object(ingest, "CHUNK_ROWS", 32), memo_sizes() as sizes:
+        got = outcome_of(lambda: parse_patient_csv(text))
+    assert got == ("ParseError", message) == outcome_of(lambda: rowwise_parse(text))
+    assert sizes[-1] == 24  # the memo was warm when the bad head came
 
 
 def test_rows_on_line_t_plus_2_keep_a_range_of_lines():

@@ -1,7 +1,8 @@
 """The process entry ``cli.run``: ``python -m rulemine``, ``python -m
 rulemine.cli`` and the ``rulemine`` script freeze the heap once ``main()``
-returns, keep its exit code, report an unwritable stdout as a data error,
-and write the ``--output`` bytes to stdout whatever its encoding."""
+returns, keep its exit code, report an unwritable or closed stdout as a
+data error, and write the ``--output`` bytes to stdout whatever its
+encoding."""
 
 import gc
 import os
@@ -126,6 +127,14 @@ def test_closed_pipe_is_a_data_error(env):
     finally:
         os.close(write_end)
     _assert_stdout_error(child, "Broken pipe")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 before exec")
+def test_closed_stdout_is_a_data_error():
+    # fd 1 is closed in the child before exec, as a shell's `>&-` does
+    child = subprocess.run([sys.executable, "-m", "rulemine", *SYNTH_OK], env=ENV,
+                           stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    _assert_stdout_error(child, "Bad file descriptor")
 
 
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])

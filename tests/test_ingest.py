@@ -1,5 +1,6 @@
 import csv
 import io
+from unittest.mock import patch
 
 import pytest
 
@@ -53,6 +54,20 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_patient_csv("a" * (limit + 1) + ",fever\n1,0\n")
         assert str(exc.value) == f"row 1: field larger than field limit ({limit})"
+
+    @pytest.mark.parametrize("eol", ["", "\n"], ids=["unterminated", "lf"])
+    def test_a_line_as_long_as_the_field_limit_stays_quote_free(self, eol):
+        # a one-column line is one field: one character more and csv.reader
+        # reads it, refusing the field as it refuses a header field
+        limit = csv.field_size_limit()
+        with patch.object(csv, "reader", wraps=csv.reader) as reader:
+            table = parse_patient_csv("id\n" + "x" * limit + eol)
+        assert len(table) == 1 and reader.call_count == 1  # the header's alone
+        with patch.object(csv, "reader", wraps=csv.reader) as reader:
+            with pytest.raises(ParseError) as exc:
+                parse_patient_csv("id\n" + "x" * (limit + 1) + eol)
+        assert str(exc.value) == f"row 2: field larger than field limit ({limit})"
+        assert reader.call_count == 2
 
     @pytest.mark.parametrize("chunk", ["fast", "csv"])
     def test_negative_age_names_the_row(self, chunk):
