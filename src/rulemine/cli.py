@@ -163,10 +163,13 @@ def _fields_arg(sep: str, metavar: str, last):
 
 def _marginal_arg(s: str) -> tuple[str, float]:
     """A synth column's ``NAME=FRACTION``; NAME is neither empty nor a
-    reserved column, which the CSV would then hold twice or not as a symptom."""
+    reserved column, which the CSV would then hold twice or not as a symptom,
+    and has no surrounding whitespace or comma, which ``mine`` refuses."""
     name, p = _fields_arg("=", "NAME=FRACTION", _float01_arg)(s)
     if not name or name in RESERVED_COLUMNS:
         raise argparse.ArgumentTypeError(f"NAME must be non-empty and not reserved: {s!r}")
+    if name != name.strip() or "," in name:
+        raise argparse.ArgumentTypeError(f"NAME has a comma or outer whitespace: {s!r}")
     return name, p
 
 

@@ -11,21 +11,22 @@ value, and ``age`` is one per-row list. Parsing turns blocks of about
 CHUNK_ROWS (1024) lines into columns, and cohort filters, derived items
 and the sparse-patient drop work on whole columns, so every stage takes
 time linear in the number of cells. The per-row work runs inside str and
-bytes methods: a quote-free chunk, under any header, is cut by slicing
-each line before the symptoms after its last reserved column, which are
-then sliced into columns by character; the heads' commas are counted in
-one ``bytes.translate`` and the heads split at commas as one string, so
-no line becomes a list. A file with at most MEMO_HEADS (4096) distinct
+bytes methods: every chunk, under any header, is cut by slicing each line
+before the symptoms after its first L cells (one past the last reserved
+column, or 1 when there is none), which are then sliced into columns by
+character; the heads' commas are counted in one ``bytes.translate`` and
+the heads split at commas as one string, so no line becomes a list. The
+csv.reader records read from the first block holding a quote are joined
+back into lines, ids blanked. A file with at most MEMO_HEADS (4096) distinct
 heads has each parsed once: every row takes its head's values from a
 memo of the heads parsed so far (about 400 in the 50k cohort), which
 starts over rather than hold more. The cells of a bitset column become
 one code byte per row, and its row bitsets come from ``bytes.translate``
 at the end of the parse. A cohort (``cohort_rows``) and the sparse drop
 each restrict the TransactionSet's row set, so no row is renumbered
-before the miner. LF, CRLF and a lone CR each end a line, so a file with
-any of them takes that path. Row line numbers are an ``array`` only from
-the first row that is not on line t + 2; before that they are a
-``range``.
+before the miner. LF, CRLF and a lone CR each end a line. Row line
+numbers are an ``array`` only from the first row that is not on line
+t + 2; before that they are a ``range``.
 
 One parser per reserved column (``_CELLS``) decides whether a cell is
 valid and, when it is not, gives the error's text, both when a chunk is
@@ -255,10 +256,11 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
     held whole. Symptom cells must be exactly 0 or 1; anything else is a
     hard parse error (no imputation) naming the CSV row and column.
 
-    csv.reader reads the header. Every chunk, quote-free lines or csv
-    records, is turned into columns by ``_chunk_columns``; a chunk it
-    rejects is checked row by row for the first error's message. A row's
-    number is the CSV line it starts on.
+    csv.reader reads the header; a name must be non-empty, with no comma
+    or surrounding whitespace. Every chunk, quote-free lines or csv records
+    joined back into lines, is turned into columns by ``_chunk_columns``;
+    a chunk it rejects is checked row by row for the first error's
+    message. A row's number is the CSV line it starts on.
     """
     fh = io.StringIO(source, newline="") if isinstance(source, str) else source
     reader = csv.reader(fh)
@@ -268,14 +270,18 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
         raise SchemaError("empty file: no header row") from None
     except csv.Error as exc:
         raise ParseError(f"row {reader.line_num}: {exc}") from None
-    if "" in header:
-        raise SchemaError(f"row 1: column {header.index('') + 1} has an empty header name")
+    for k, name in enumerate(header, 1):
+        if not name:
+            raise SchemaError(f"row 1: column {k} has an empty header name")
+        if name != name.strip() or "," in name:  # no flag could name its item
+            raise SchemaError(f"row 1: column {k} name {name!r} has a comma or outer whitespace")
     if len(header) != len(set(header)):
         dupes = sorted({c for c in header if header.count(c) > 1})
         raise SchemaError(f"duplicate header names: {', '.join(dupes)}")
     symptom_columns = [c for c in header if c not in RESERVED_COLUMNS]
-    # one past the last reserved column: the symptoms after it are each line's tail
-    lead = max((k + 1 for k, c in enumerate(header) if c in RESERVED_COLUMNS), default=0)
+    # one past the last reserved column, or 1: the symptoms after it are each line's tail
+    lead = max((k + 1 for k, c in enumerate(header) if c in RESERVED_COLUMNS), default=1)
+    blank = header.index("id") if "id" in header else None  # the cell no value is read from
 
     # each symptom's rows so far as bytes, row 0 the low bit of byte 0; the
     # last byte holds the rows past the last multiple of 8
@@ -285,7 +291,15 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
     line_numbers = None  # every row so far is on line t + 2
     memo = [{} for _ in range(lead)]  # the parsed heads (_chunk_columns)
     for chunk, chunk_lines in _chunks(fh, reader.line_num):
-        got = _chunk_columns(chunk, header, lead, memo)
+        lines = chunk
+        if not isinstance(chunk[0], str):  # csv records, joined back into lines
+            lines = None
+            if set(map(len, chunk)) == {len(header)}:
+                if blank is not None:  # a quoted id may hold a comma or a line end
+                    for record in chunk:
+                        record[blank] = ""
+                lines = list(map(",".join, chunk))
+        got = lines and _chunk_columns(lines, header, lead, memo)
         if got is None:
             raise _first_error(chunk, chunk_lines, header)
         (chunk_ages, chunk_codes), chunk_covers = got
@@ -371,66 +385,50 @@ def _chunks(fh: io.TextIOBase, line_num: int) -> Iterator[tuple[list, Sequence[i
         block = fh.read(size) + fh.readline()
 
 
-def _chunk_columns(chunk: list, header: list[str], lead: int, memo: list[dict]):
-    """The reserved values and symptom row bitsets of a chunk (bit t for
-    its row t), or None when a row is not one valid cell per ``header``
-    column.
+def _chunk_columns(lines: list[str], header: list[str], lead: int, memo: list[dict]):
+    """The reserved values and symptom row bitsets of a chunk of lines (bit
+    t for its row t), or None when a line is not one valid cell per
+    ``header`` column. The lines are quote-free, or csv records joined
+    back with commas and their ids blanked; both share ``memo``.
 
-    A csv record comes split into cells. A quote-free line is cut before
-    its last 2S characters, S being the number of symptoms after the last
-    reserved column, so no line becomes a list: joined, those tails must
-    be S pairs of a comma and a 0 or 1 each. Their flags read backwards,
-    row n-1's last first, hold symptom j's as every S-th character from
-    S-1-j, which is its bitset in binary. Where a chunk's heads repeat,
-    only those not in ``memo`` are parsed (``memo[k]`` maps each head
-    parsed so far to its cell k's value, and starts over rather than hold
-    more than MEMO_HEADS heads) and each row takes its head's values from
-    ``memo``. The heads parsed must hold ``lead`` cells each: joined with
-    line ends, their commas and line ends must be ``lead`` - 1 commas per
-    head, checked in one ``bytes.translate``. Joined with commas and
-    split, column k is every ``lead``-th cell from k. Every symptom that
-    is not in a tail is a column of cells, each 0 or 1.
+    Every line takes one cut, before its last 2S characters, S being the
+    number of symptoms after its first ``lead`` cells (one past the last
+    reserved column, or 1 when there is none): joined, the tails must be S
+    pairs of a comma and a 0 or 1 each. Their flags read backwards, row
+    n-1's last first, hold symptom j's as every S-th character from S-1-j,
+    which is its bitset in binary. Where a chunk's heads repeat, only those
+    not in ``memo`` are parsed (``memo[k]`` maps each head parsed so far to
+    its cell k's value, and starts over rather than hold more than
+    MEMO_HEADS heads) and each row takes its head's values from ``memo``.
+    The heads parsed must hold ``lead`` cells each: joined with line ends,
+    their commas and line ends must be ``lead`` - 1 commas per head,
+    checked in one ``bytes.translate``. Joined with commas and split,
+    column k is every ``lead``-th cell from k, and a symptom among them is
+    a column of cells, each 0 or 1.
     """
-    n = len(chunk)
-    trailing = []
-    if isinstance(chunk[0], str):
-        tail = len(header) - lead  # the symptoms after the last reserved column
-        if not lead:  # no reserved column: each line is all tail
-            if set(map(len, chunk)) != {2 * tail - 1}:
-                return None
-            heads, tails = [], "," + ",".join(chunk)
-        elif tail:
-            heads = list(map(itemgetter(slice(None, -2 * tail)), chunk))
-            tails = "".join(map(itemgetter(slice(-2 * tail, None)), chunk))
-        else:
-            heads, tails = chunk, ""
-        flags = tails[::-2]  # row n-1's last flag first
-        if (len(tails) != 2 * tail * n or tails[::2] != "," * len(flags)
-                or flags.encode(errors="surrogatepass").translate(None, b"01")):
-            return None
-        trailing = [int(flags[tail - 1 - j :: tail], 2) for j in range(tail)]
-        new = heads  # the heads to parse
-        if heads and len(distinct := set(heads)) < n:
-            new = list(distinct.difference(memo[0]))
-            if len(memo[0]) + len(new) > MEMO_HEADS:
-                for column in memo:
-                    column.clear()
-                new = list(distinct)
-        if new:
-            # UTF-8 puts no 0x2C or 0x0A inside a multi-byte character
-            text = "\n".join(new).encode(errors="surrogatepass")
-            marks = b"," * (lead - 1)
-            if text.translate(None, _NOT_COMMA_OR_LF) != (marks + b"\n") * (len(new) - 1) + marks:
-                return None
-        cells = ",".join(new).split(",") if new else []
-        columns = [cells[k::lead] for k in range(lead)]
-    elif set(map(len, chunk)) == {len(header)}:
-        heads = new = None
-        columns = list(zip(*chunk))
-    else:
+    n = len(lines)
+    tail = len(header) - lead
+    heads = list(map(itemgetter(slice(None, -2 * tail or None)), lines))
+    tails = "".join(map(itemgetter(slice(-2 * tail, None)), lines)) if tail > 0 else ""
+    flags = tails[::-2]  # row n-1's last flag first
+    if (len(tails) != 2 * tail * n or tails[::2] != "," * len(flags)
+            or flags.encode(errors="surrogatepass").translate(None, b"01")):
         return None
+    trailing = [int(flags[tail - 1 - j :: tail], 2) for j in range(tail)]
+    new = heads  # the heads to parse
+    if len(distinct := set(heads)) < n:
+        new = list(distinct.difference(memo[0]))
+        if len(memo[0]) + len(new) > MEMO_HEADS:
+            for column in memo:
+                column.clear()
+            new = list(distinct)
+    # UTF-8 puts no 0x2C or 0x0A inside a multi-byte character
+    text = "\n".join([*new, ""]).encode(errors="surrogatepass")
+    if text.translate(None, _NOT_COMMA_OR_LF) != (b"," * (lead - 1) + b"\n") * len(new):
+        return None
+    cells = ",".join(new).split(",") if new else []
     try:
-        values = _values(header, columns)
+        values = _values(header, [cells[k::lead] for k in range(lead)])
     except ValueError:  # a bad cell
         return None
     if new is not heads:

@@ -72,6 +72,8 @@ def _validate(spec: CohortSpec) -> None:
     for name, p in spec.marginals.items():
         if not name or name in RESERVED_COLUMNS:
             raise ConfigError(f"marginal name must be non-empty and not reserved, got {name!r}")
+        if name != name.strip() or "," in name:  # parse_patient_csv refuses such a header
+            raise ConfigError(f"marginal name has a comma or outer whitespace: {name!r}")
         if not 0 <= p <= 1:
             raise ConfigError(f"marginal for {name} must be in [0,1], got {p}")
     for label, frac in (("mortality", spec.mortality), ("male_fraction", spec.male_fraction)):

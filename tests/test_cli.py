@@ -662,6 +662,18 @@ class TestBadInputAndOutput:
         rc, out, err = self._run(capsys, ["mine", "--input", str(path)])
         assert (rc, out, err) == (1, "", f"error: row 1: column {column} has an empty header name\n")
 
+    @pytest.mark.parametrize("name", [" Cough", "Cough ", "Sore, throat"])
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["quote_free", "quoted"])
+    def test_header_name_with_a_comma_or_outer_whitespace_names_its_column(
+        self, capsys, tmp_path, name, quote
+    ):
+        path = tmp_path / "names.csv"
+        body = ",".join(quote + c + quote for c in ["1", "1", "30"])
+        path.write_text(ingest.csv_text([["Apnea", name, "age"]]) + body + "\n")
+        rc, out, err = self._run(capsys, ["mine", "--input", str(path)])
+        message = f"error: row 1: column 2 name {name!r} has a comma or outer whitespace\n"
+        assert (rc, out, err) == (1, "", message)
+
     def test_negative_age_names_the_row(self, capsys, tmp_path):
         path = tmp_path / "age.csv"
         path.write_text("age,Fever\n30,1\n-3,0\n")
@@ -737,6 +749,7 @@ class TestFlagValues:
         ("--marginal", "foo"), ("--marginal", "a=1.5"), ("--planted", "a,b"),
         ("--planted", "a,b,x"), ("--age-weights", "x"), ("--age-weights", "<20=-1"),
         ("--marginal", "age=0.5"), ("--marginal", "id=0.5"), ("--marginal", "=0.5"),
+        ("--marginal", " X=0.5"), ("--marginal", "X =0.5"), ("--marginal", "Sore, throat=0.5"),
     ])
     def test_bad_synth_value_is_usage_error(self, capsys, flag, value):
         err = _usage_error(capsys, ["synth", "--n", "5", "--marginal", "a=0.5",

@@ -239,6 +239,17 @@ def parsed(table):
 @example("id,age,f\nx,6,0\n\u00e9\u20ac\U0001f600,5,1\ny,7,1\n", 4096, False)  # a non-ASCII id
 @example("age,f\n5,\udc80\n", 4096, False)  # a lone surrogate in a symptom cell of a str source
 @example("age,f\n5,1\n5_0,0\n", 4096, False)  # an age cell int() reads as 50
+# csv records, joined back into lines, share the memo of parsed heads: at CHUNK_ROWS 1 the
+# quote-free lines 3-4 put "5" there before the quoted line 6, at 2 records whose heads repeat do
+@example('age,f\n5,1\n5,1\n5,0\n5,1\n"5",1\n6,0\n', 1, False)
+@example('age,f\n5,1\n5,0\n"5",1\n6,0\n', 2, False)
+@example('id,age,f\np1,5,1\n"x,\ny",6,2\n', 4096, False)  # a bad cell after an id with "," and LF
+@example('age,f,g\n5,"1,0",1\n', 4096, False)  # a quoted symptom cell holding a comma
+@example('age,f,g\n5,0,1\n5,"1,0"\n', 4096, False)  # a short record that joins to 3 cells
+# heads that repeat across chunks: the whole line when the reserved column is last, the
+# first symptom when there is no reserved column
+@example("f,g,age\n1,0,5\n1,0,5\n0,1,5\n1,0,5\n0,1,5\n1,0,5\n", 2, False)
+@example("f,g\n1,0\n1,1\n0,1\n1,0\n0,0\n1,1\n", 2, False)
 def test_parse_matches_rowwise(text, chunk_rows, stream):
     source = io.StringIO(text, newline="") if stream else text
     with patch.object(ingest, "CHUNK_ROWS", chunk_rows):
@@ -584,6 +595,29 @@ def test_heads_parse_to_the_table_of_csv_records(header):
         assert set(sizes) == {0}
     else:  # the memo holds the 24 distinct heads
         assert max(sizes) == 24
+
+
+def test_csv_records_share_the_memo_with_their_ids_blanked():
+    text = as_records(cohort_text(["id", "age", "sex", "outcome", "f", "h"], 300))
+    with patch.object(ingest, "CHUNK_ROWS", 32), memo_sizes() as sizes:
+        table = parse_patient_csv(text)
+    assert parsed(table) == rowwise_parse(text)
+    assert max(sizes) == 24  # with the ids blanked, the heads repeat every 24 rows
+
+
+@pytest.mark.parametrize("copy", ["quote_all", "quoted_id"])
+def test_a_quoted_copy_of_a_synth_cohort_parses_to_the_plain_table(copy):
+    spec = CohortSpec(n=3000, marginals={f"s{j}": 0.1 + j / 10 for j in range(8)}, seed=11)
+    plain = serialize_patient_csv(generate_cohort(spec))
+    rows = list(csv.reader(io.StringIO(plain)))
+    buf = io.StringIO()
+    if copy == "quote_all":
+        csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+    else:  # a quoted id holding a comma, a quote and a line end before every row
+        ids = [f'p{t}, "x"\nz' for t in range(len(rows) - 1)]
+        csv.writer(buf, lineterminator="\n").writerows(
+            [["id", *rows[0]], *([i, *row] for i, row in zip(ids, rows[1:]))])
+    assert parse_patient_csv(buf.getvalue()) == parse_patient_csv(plain)
 
 
 def test_the_memo_starts_over_past_its_bound():

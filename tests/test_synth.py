@@ -133,6 +133,8 @@ class TestValidation:
         ({"marginals": {"age": 0.5}}, "marginal name must be non-empty and not reserved"),
         ({"marginals": {"id": 0.5}}, "not reserved, got 'id'"),
         ({"marginals": {"": 0.5}}, "not reserved, got ''"),
+        ({"marginals": {" X": 0.5}}, "has a comma or outer whitespace: ' X'"),
+        ({"marginals": {"Sore, throat": 0.5}}, "has a comma or outer whitespace: 'Sore, throat'"),
     ])
     def test_bad_spec_value(self, fields, message):
         with pytest.raises(ConfigError, match=message):
