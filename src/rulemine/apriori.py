@@ -21,6 +21,11 @@ quarter of the rows are gone, the miner renumbers the kept ones once
 (``TransactionSet.compact``) so each AND costs the kept rows, not the
 parse's width.
 
+The search records at most ``MAX_ITEMSETS`` itemsets. At a zero support
+every itemset passes, so the lattice's size is known and a larger one is
+refused before counting; otherwise the search stops with the same
+``CapacityError`` once it has recorded more.
+
 ``generate_candidates`` is Apriori's candidate set by its definition:
 every k-set whose (k-1)-subsets are all frequent. The miner does not use
 it; it stays as the reference the tests and the bench's candidate
@@ -36,7 +41,10 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .core import Itemset, Record, TransactionSet, canonical_itemset, cover_bits_of
-from .errors import ConfigError, InternalError, UndefinedSupportError
+from .errors import CapacityError, ConfigError, InternalError, UndefinedSupportError
+
+# the most itemsets one search records, each about 150 bytes with its count
+MAX_ITEMSETS = 1 << 21
 
 
 class MiningConfig(Record):
@@ -113,9 +121,17 @@ def generate_candidates(frequent_prev: Iterable[Itemset]) -> set[Itemset]:
     return {c for c in grown if all(c[:j] + c[j + 1 :] in prev for j in range(len(c)))}
 
 
+def _too_many(found) -> CapacityError:
+    """The refusal of a search over ``MAX_ITEMSETS``; ``found`` says how many it has."""
+    return CapacityError(
+        f"mining refuses {found} frequent itemsets (limit {MAX_ITEMSETS}):"
+        " raise --min-support, lower --max-len or select fewer features")
+
+
 def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
     """All itemsets with support >= cfg.min_support (and size <= max_len);
-    with a target T, only the frequent Z containing T, each Z minus T, and T."""
+    with a target T, only the frequent Z containing T, each Z minus T, and T.
+    Over ``MAX_ITEMSETS`` of them is a ``CapacityError``."""
     n = ts.n_transactions
     if n == 0:
         raise UndefinedSupportError("cannot mine an empty transaction set")
@@ -136,6 +152,14 @@ def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
     if target and len(target) <= max_len and base.bit_count() >= need:
         counts[target] = base.bit_count()
     depth = max_len - len(target)
+    free = [i for i in items if i not in target]
+    if need == 0:
+        # every itemset passes: X up to depth items, with a target as X∪T and X, and T
+        size = sum(math.comb(len(free), k) for k in range(1, depth + 1))
+        if target:
+            size = 2 * size + (depth >= 0)
+        if size > MAX_ITEMSETS:
+            raise _too_many(size)
 
     def grow(prefix: Itemset, cover: int, candidates: list[tuple[int, int]]) -> None:
         # the class of prefix: each frequent prefix + (i,) as (i, cover), in id order
@@ -150,10 +174,12 @@ def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
                     c = cover_bits_of(ts, x).bit_count()
                 counts[x] = c
                 klass.append((i, bits))
+        if len(counts) > MAX_ITEMSETS:
+            raise _too_many(f"at least {len(counts)}")
         if len(prefix) + 2 <= depth:
             for a, (i, bits) in enumerate(klass[:-1]):
                 grow(prefix + (i,), bits, klass[a + 1 :])
 
     if depth >= 1:
-        grow((), base, [(i, ts.cover_bits(i)) for i in items if i not in target])
+        grow((), base, [(i, ts.cover_bits(i)) for i in free])
     return FrequentItemsets(counts, n)

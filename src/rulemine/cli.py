@@ -37,18 +37,11 @@ from .ingest import (
 )
 from .rules import MetricSet, RuleSet, generate_rules, metric_values
 
-REPORT_COLUMNS = (
-    "Antecedents",
-    "Consequents",
-    "Antecedent support",
-    "Consequent support",
-    "Support",
-    "Confidence",
-    "Lift",
-    "Leverage",
-)
 # the json names of the six metric columns, in report order
 METRIC_KEYS = MetricSet._fields
+# the csv and md header: the rule's two sides, then each metric as words
+REPORT_COLUMNS = ("Antecedents", "Consequents",
+                  *(key.replace("_", " ").capitalize() for key in METRIC_KEYS))
 
 
 # ---------------------------------------------------------------- reporting
@@ -431,56 +424,51 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="patient CSV file")
-    p.add_argument(
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # the flags freq, select, mine and verify share, then those of
+    # _run_pipeline, each declared once as a parent parser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--input", required=True, help="patient CSV file")
+    common.add_argument(
         "--cohort", type=_cohort_arg, default=CohortSelector("all"),
         help=" | ".join(_COHORT_WORDS) + " age range",
     )
-    p.add_argument("--derive-age", action="store_true", help="add age-bucket items")
-    p.add_argument("--derive-sex", action="store_true", help="add Male/Female items")
-    p.add_argument("--derive-outcome", action="store_true", help="add Recovery/Death items")
-    p.add_argument("--derive-lab", action="store_true", help="add lab-result items")
-    p.add_argument("--output", help="write the report to a file instead of stdout")
-    p.add_argument("--config", help="key=value config file; flags override it")
+    common.add_argument("--derive-age", action="store_true", help="add age-bucket items")
+    common.add_argument("--derive-sex", action="store_true", help="add Male/Female items")
+    common.add_argument("--derive-outcome", action="store_true", help="add Recovery/Death items")
+    common.add_argument("--derive-lab", action="store_true", help="add lab-result items")
+    common.add_argument("--output", help="write the report to a file instead of stdout")
+    common.add_argument("--config", help="key=value config file; flags override it")
 
+    pipeline = argparse.ArgumentParser(add_help=False, parents=[common])
+    pipeline.add_argument("--feature-threshold", type=_threshold_arg, default="0.15",
+                          help="all-patients selection threshold")
+    pipeline.add_argument("--feature-threshold-deceased", type=_threshold_arg, default="0.25",
+                          help="deceased-cohort selection threshold")
+    pipeline.add_argument("--no-select", action="store_true", help="skip feature selection")
+    pipeline.add_argument("--min-symptoms", type=_number_arg(int, 1), default=None,
+                          help="drop patients with fewer selected symptoms than this")
+    pipeline.add_argument("--min-support", type=_threshold_arg, default="0.001")
+    pipeline.add_argument("--min-confidence", type=_threshold_arg, default="0.0")
+    pipeline.add_argument("--min-lift", type=_number_arg(_decimal, 0), default="1.0")
+    pipeline.add_argument("--max-len", type=_number_arg(int, 1), default=None)
+    pipeline.add_argument("--target-consequent", type=_names_arg, default=None,
+                          metavar="NAME,...", help="item names the consequent must equal")
 
-def _add_pipeline(p: argparse.ArgumentParser) -> None:
-    """The flags of ``_run_pipeline``, shared by ``mine`` and ``verify``."""
-    _add_common(p)
-    p.add_argument("--feature-threshold", type=_threshold_arg, default="0.15",
-                   help="all-patients selection threshold")
-    p.add_argument("--feature-threshold-deceased", type=_threshold_arg, default="0.25",
-                   help="deceased-cohort selection threshold")
-    p.add_argument("--no-select", action="store_true", help="skip feature selection")
-    p.add_argument("--min-symptoms", type=_number_arg(int, 1), default=None,
-                   help="drop patients with fewer selected symptoms than this")
-    p.add_argument("--min-support", type=_threshold_arg, default="0.001")
-    p.add_argument("--min-confidence", type=_threshold_arg, default="0.0")
-    p.add_argument("--min-lift", type=_number_arg(_decimal, 0), default="1.0")
-    p.add_argument("--max-len", type=_number_arg(int, 1), default=None)
-    p.add_argument("--target-consequent", type=_names_arg, default=None, metavar="NAME,...",
-                   help="item names the consequent must equal")
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="rulemine",
         description="Frequent-itemset and association-rule mining over binary patient data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("freq", help="per-item frequency table (CSV)")
-    _add_common(p)
+    p = sub.add_parser("freq", parents=[common], help="per-item frequency table (CSV)")
     p.set_defaults(func=_cmd_freq)
 
-    p = sub.add_parser("select", help="threshold-based feature selection")
-    _add_common(p)
+    p = sub.add_parser("select", parents=[common], help="threshold-based feature selection")
     p.add_argument("--threshold", type=_threshold_arg, default="0.15")
     p.set_defaults(func=_cmd_select)
 
-    p = sub.add_parser("mine", help="full pipeline: select, mine, rank rules")
-    _add_pipeline(p)
+    p = sub.add_parser("mine", parents=[pipeline], help="full pipeline: select, mine, rank rules")
     p.add_argument("--format", choices=("csv", "json", "md"), default="csv")
     p.set_defaults(func=_cmd_mine)
 
@@ -498,8 +486,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--config", help="key=value config file; flags override it")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("verify", help="cross-check mine's pipeline against the brute-force oracle")
-    _add_pipeline(p)
+    p = sub.add_parser("verify", parents=[pipeline],
+                       help="cross-check mine's pipeline against the brute-force oracle")
     p.set_defaults(func=_cmd_verify)
 
     return parser, sub.choices

@@ -37,7 +37,7 @@ class InconsistentSupportError(RuleMineError):
 
 
 class CapacityError(RuleMineError):
-    """Brute-force count refused: more subsets to count than its limit."""
+    """A count refused: more oracle subsets or mined itemsets than its limit."""
 
 
 class InternalError(RuleMineError):

@@ -62,7 +62,7 @@ def brute_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
     and never counts Z above either; another lattice is not checked for that."""
     n = fi.n_transactions
     min_confidence, min_lift = _decimal(cfg.min_confidence), _decimal(cfg.min_lift)
-    rules = []
+    kept = []  # (confidence, rule)
     for z, c_z in fi.counts.items():
         for r in range(1, len(z)):
             for x in combinations(z, r):
@@ -72,8 +72,10 @@ def brute_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
                 c_x, c_y = fi.counts[x], fi.counts[y]
                 if 0 in (c_x, c_y):
                     raise UndefinedMetricError(f"metrics undefined for zero count: {x} => {y}")
-                if Fraction(c_z, c_x) >= min_confidence and Fraction(c_z * n, c_x * c_y) > min_lift:
-                    rules.append(Rule(x, y, c_z, c_x, c_y))
-    rules.sort(key=lambda r: (-r.count, -Fraction(r.count, r.antecedent_count),
-                              r.antecedent, r.consequent))
-    return RuleSet(rules, n)
+                confidence = Fraction(c_z, c_x)
+                if confidence >= min_confidence and Fraction(c_z * n, c_x * c_y) > min_lift:
+                    kept.append((confidence, Rule(x, y, c_z, c_x, c_y)))
+    # each distinct confidence ranked once, highest first, so the sort compares integers
+    rank = {c: k for k, c in enumerate(sorted({c for c, _ in kept}, reverse=True))}
+    kept.sort(key=lambda cr: (-cr[1].count, rank[cr[0]], cr[1].antecedent, cr[1].consequent))
+    return RuleSet([rule for _, rule in kept], n)
