@@ -14,7 +14,8 @@ With ``cfg.target_consequent`` T, rules need only the frequent Z that
 contain T, Z minus T and T (the class-rule setting of CBA, Liu, Hsu & Ma
 1998). The same search then runs over the items outside T, with each
 cover ANDed with cover(T) and at most max_len - |T| deep: every X it
-finds is recorded as X∪T with that count, and as X with its own count.
+finds is recorded as X∪T with that count, and as X with the count of
+its own cover, which the search carries beside the conditional one.
 
 After a drop the covers keep the parse's row numbers; when over a
 quarter of the rows are gone, the miner renumbers the kept ones once
@@ -40,7 +41,7 @@ import math
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 
-from .core import Itemset, Record, TransactionSet, canonical_itemset, cover_bits_of
+from .core import Itemset, Record, TransactionSet, canonical_itemset
 from .errors import CapacityError, ConfigError, InternalError, UndefinedSupportError
 
 # the most itemsets one search records, each about 150 bytes with its count
@@ -148,7 +149,9 @@ def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
     if not set(target) <= set(items):
         return FrequentItemsets(counts, n)  # a target item is not in ts: no rule has T
     # every cover below is conditional on T: the cover of X is cover(X∪T)
-    base = cover_bits_of(ts, target)
+    base = ts.rows
+    for i in target:
+        base &= ts.cover_bits(i)
     if target and len(target) <= max_len and base.bit_count() >= need:
         counts[target] = base.bit_count()
     depth = max_len - len(target)
@@ -161,25 +164,27 @@ def mine_frequent(ts: TransactionSet, cfg: MiningConfig) -> FrequentItemsets:
         if size > MAX_ITEMSETS:
             raise _too_many(size)
 
-    def grow(prefix: Itemset, cover: int, candidates: list[tuple[int, int]]) -> None:
-        # the class of prefix: each frequent prefix + (i,) as (i, cover), in id order
+    def grow(prefix: Itemset, cover: int, own: int, candidates: list[tuple[int, int, int]]) -> None:
+        # the class of prefix: each frequent X = prefix + (i,) as (i, cover, X's own
+        # cover), in id order; without a target the two are one
         klass = []
-        for i, cover_i in candidates:
+        for i, cover_i, own_i in candidates:
             bits = cover & cover_i
             c = bits.bit_count()
             if c >= need:
                 x = prefix + (i,)
+                own_x = own & own_i if target else bits
                 if target:
                     counts[tuple(sorted(x + target))] = c
-                    c = cover_bits_of(ts, x).bit_count()
+                    c = own_x.bit_count()
                 counts[x] = c
-                klass.append((i, bits))
+                klass.append((i, bits, own_x))
         if len(counts) > MAX_ITEMSETS:
             raise _too_many(f"at least {len(counts)}")
         if len(prefix) + 2 <= depth:
-            for a, (i, bits) in enumerate(klass[:-1]):
-                grow(prefix + (i,), bits, klass[a + 1 :])
+            for a, (i, bits, own_i) in enumerate(klass[:-1]):
+                grow(prefix + (i,), bits, own_i, klass[a + 1 :])
 
     if depth >= 1:
-        grow((), base, [(i, ts.cover_bits(i)) for i in free])
+        grow((), base, ts.rows, [(i, ts.cover_bits(i), ts.cover_bits(i)) for i in free])
     return FrequentItemsets(counts, n)

@@ -4,11 +4,11 @@ Itemsets are plain tuples of item ids in strictly increasing order (the
 canonical form); tuple equality and ordering then coincide with itemset
 equality and a total order. Transaction covers are stored one Python int
 per item, bit t set when row t contains the item, so an itemset's cover
-(``cover_bits_of``) is a chain of ``&`` and its count that cover's
-``bit_count()``. Converting a bitset to and from one '0'/'1' byte per
-row (``format``, ``int(..., 2)``, ``int.from_bytes``) is how rows are
-selected and renumbered in linear time. A TransactionSet drops rows by
-restricting its row set, which is one AND per cover and renumbers nothing.
+is a chain of ``&`` and its count that cover's ``bit_count()``. Row
+bitsets have one per-row form, a code string of one byte per row, row 0
+first: ``row_codes`` writes it and ``code_rows`` reads it back, in linear
+time. A TransactionSet drops rows by restricting its row set, which is
+one AND per cover and renumbers nothing.
 ``Record`` is the base of the package's plain config and result classes.
 """
 
@@ -86,13 +86,23 @@ def flags_to_bits(flags: str | bytes) -> int:
     return int(flags[::-1], 2) if flags else 0
 
 
-_SELECT = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def row_mask(bits: int, n: int) -> bytes:
-    """One byte per row, row 0 first: 1 where ``bits`` has the row, else 0;
-    ``compress`` takes it to pick those rows out of a per-row sequence."""
-    return bits_to_flags(bits, n).encode().translate(_SELECT)
+def row_codes(bitsets: Iterable[int], n: int) -> bytes:
+    """One byte per row of rows 0..n-1, row 0 first: k where the row is in
+    the k-th of the disjoint ``bitsets``, counting from 1, else 0. Each
+    bitset's 0/1 bytes, read as an int, has row 0 as its top byte; k times
+    it is summed, and no byte carries into the next."""
+    fmt, full = f"0{n}b", (1 << n) - 1
+    total = sum(k * int.from_bytes(format(bits & full, fmt).encode().translate(_BYTE), "little")
+                for k, bits in enumerate(bitsets, 1))
+    return total.to_bytes(n, "big")
+
+
+def code_rows(codes: bytes, k: int) -> int:
+    """The bitset of the rows whose byte in ``codes`` (``row_codes``) is k."""
+    return flags_to_bits(codes.translate(bytes(48 + (j == k) for j in range(256))))
 
 
 _DROP = bytes.maketrans(b"01", b"\x40\x00")
@@ -222,17 +232,7 @@ class TransactionSet:
         n = self._n
         rows: list[set[int]] = [set() for _ in range(n)]
         for item_id, bits in self.compact()._covers.items():
-            for t in compress(range(n), row_mask(bits, n)):
+            for t in compress(range(n), row_codes([bits], n)):
                 rows[t].add(item_id)
         return [frozenset(r) for r in rows]
-
-
-def cover_bits_of(ts: TransactionSet, s: Itemset) -> int:
-    """Bitset of transactions containing every item of s (``ts.rows`` for s=())."""
-    bits = ts.rows
-    for i in s:
-        bits &= ts.cover_bits(i)
-        if not bits:
-            break
-    return bits
 

@@ -37,7 +37,8 @@ class InconsistentSupportError(RuleMineError):
 
 
 class CapacityError(RuleMineError):
-    """A count refused: more oracle subsets or mined itemsets than its limit."""
+    """A count refused: more oracle subsets, mined itemsets or rule
+    partitions than its limit."""
 
 
 class InternalError(RuleMineError):

@@ -21,12 +21,12 @@ back into lines, ids blanked. A file with at most MEMO_HEADS (4096) distinct
 heads has each parsed once: every row takes its head's values from a
 memo of the heads parsed so far (about 400 in the 50k cohort), which
 starts over rather than hold more. The cells of a bitset column become
-one code byte per row, and its row bitsets come from ``bytes.translate``
-at the end of the parse. A cohort (``cohort_rows``) and the sparse drop
-each restrict the TransactionSet's row set, so no row is renumbered
-before the miner. LF, CRLF and a lone CR each end a line. Row line
-numbers are an ``array`` only from the first row that is not on line
-t + 2; before that they are a ``range``.
+one code byte per row, row 0 first, and its row bitsets come from
+``core.code_rows`` at the end of the parse. A cohort (``cohort_rows``)
+and the sparse drop each restrict the TransactionSet's row set, so no
+row is renumbered before the miner. LF, CRLF and a lone CR each end a
+line. Row line numbers are an ``array`` only from the first row that is
+not on line t + 2; before that they are a ``range``.
 
 One parser per reserved column (``_CELLS``) decides whether a cell is
 valid and, when it is not, gives the error's text, both when a chunk is
@@ -50,10 +50,10 @@ from .core import (
     Itemset,
     Record,
     TransactionSet,
-    bits_to_flags,
+    code_rows,
     flags_to_bits,
+    row_codes,
     row_compactor,
-    row_mask,
 )
 from .errors import ConfigError, InternalError, ParseError, RuleMineError, SchemaError
 
@@ -133,8 +133,8 @@ class _RowView(Sequence):
     def __init__(self, table: PatientTable):
         n = len(table)
         self._table = table
-        self._flags = [bits_to_flags(c, n) for c in table.covers]
-        self._codes = [codes_of(getattr(table, name), n) for name in CODED]
+        self._flags = [row_codes([c], n) for c in table.covers]
+        self._codes = [row_codes(getattr(table, name).values(), n) for name in CODED]
 
     def __len__(self) -> int:
         return len(self._table)
@@ -143,28 +143,9 @@ class _RowView(Sequence):
         if isinstance(k, slice):
             return [self[j] for j in range(*k.indices(len(self)))]
         t = self._table
-        symptoms = {name: int(f[k]) for name, f in zip(t.symptom_columns, self._flags)}
+        symptoms = {name: f[k] for name, f in zip(t.symptom_columns, self._flags)}
         coded = [values[codes[k]] for values, codes in zip(CODED.values(), self._codes)]
         return PatientRecord(t.age[k], *coded, symptoms)
-
-
-def codes_of(rows: dict[str, int], n: int) -> bytes:
-    """One byte per row, row 0 first: k where the row is in the k-th of
-    the disjoint bitsets ``rows`` (counting from 1), 0 where it is in none.
-
-    Each bitset becomes one 0/1 byte per row; read as one int, the k-th
-    is multiplied by k and summed, and no byte carries into the next.
-    """
-    total = sum(
-        int.from_bytes(row_mask(bits, n), "big") * k for k, bits in enumerate(rows.values(), 1)
-    )
-    return total.to_bytes(n, "big")
-
-
-def _rows_of_code(coded: bytes, k: int) -> int:
-    """The bitset of the rows whose byte in ``coded`` is k; ``coded`` is
-    one byte per row, row n-1 first."""
-    return int(coded.translate(bytes(48 + (j == k) for j in range(256))), 2) if coded else 0
 
 
 class DerivationConfig(Record):
@@ -319,10 +300,8 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
             low = cover.pop() if r else 0
             cover += (low | bits << r).to_bytes(size, "little")
 
-    values = {}
-    for name, coded in codes.items():
-        coded.reverse()  # row n-1 first
-        values[name] = {v: _rows_of_code(coded, k) for k, v in enumerate(CODED[name][1:], 1)}
+    values = {name: {v: code_rows(coded, k) for k, v in enumerate(CODED[name][1:], 1)}
+              for name, coded in codes.items()}
     return PatientTable(
         symptom_columns,
         [int.from_bytes(cover, "little") for cover in covers],
@@ -506,13 +485,13 @@ def value_rows(column: Sequence, key: Callable) -> dict:
     ``key`` runs once per distinct value.
 
     Each row becomes a one-byte code (so at most 256 distinct results),
-    and each result's bitset is the codes translated to '0'/'1' bytes.
+    and each result's bitset is ``code_rows`` of its code.
     """
     label = {v: key(v) for v in set(column)}
     codes = {result: k for k, result in enumerate(set(label.values()))}
     code_of = {v: codes[result] for v, result in label.items()}
-    coded = bytes(map(code_of.__getitem__, column))[::-1]  # row n-1 first
-    return {result: _rows_of_code(coded, k) for result, k in codes.items()}
+    coded = bytes(map(code_of.__getitem__, column))
+    return {result: code_rows(coded, k) for result, k in codes.items()}
 
 
 def cohort_rows(table: PatientTable, sel: CohortSelector) -> int:
@@ -538,7 +517,7 @@ def filter_cohort(table: PatientTable, sel: CohortSelector) -> PatientTable:
     keep = cohort_rows(table, sel)
     n = len(table)
     compact = row_compactor(keep, n)
-    mask = row_mask(keep, n)
+    mask = row_codes([keep], n)
     return PatientTable(
         list(table.symptom_columns),
         list(map(compact, table.covers)),

@@ -19,9 +19,13 @@ from itertools import combinations
 
 from .apriori import FrequentItemsets, MiningConfig, min_count
 from .core import Itemset, Record
-from .errors import InconsistentSupportError, InternalError, UndefinedMetricError
+from .errors import CapacityError, InconsistentSupportError, InternalError, UndefinedMetricError
 
 Number = float | Fraction
+
+# the most partitions one untargeted generation enumerates; each kept rule
+# takes about 350 bytes, so 2^20 of them about 370 MB
+MAX_PARTITIONS = 1 << 20
 
 
 MetricSet = namedtuple(
@@ -121,6 +125,8 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
     keeps only its counts. When some partition's X or Y has count 0, no
     metric is defined and the least such (X, Y) in canonical order is named
     in the error, and is its ``pair``, whatever order ``fi.counts`` has.
+    Without a target, over ``MAX_PARTITIONS`` partitions is a
+    ``CapacityError``; with one there are at most ``len(fi.counts)``.
     """
     n = fi.n_transactions
     conf_need = min_count(cfg.min_confidence)
@@ -132,6 +138,10 @@ def generate_rules(fi: FrequentItemsets, cfg: MiningConfig) -> RuleSet:
             exc = UndefinedMetricError("metrics undefined for zero count: %s => %s" % undefined)
             exc.pair = undefined
             raise exc
+    if target is None and (size := sum((1 << len(z)) - 2 for z in fi.counts)) > MAX_PARTITIONS:
+        raise CapacityError(
+            f"rule generation refuses {size} partitions (limit {MAX_PARTITIONS}):"
+            " raise --min-support, lower --max-len or give --target-consequent")
     rules = []
     for z, c_xy in fi.counts.items():
         for x, y in _partitions(z, target):

@@ -28,9 +28,9 @@ from bisect import bisect
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain, repeat
 
-from .core import Record, bits_to_flags, flags_to_bits
+from .core import Record, bits_to_flags, flags_to_bits, row_codes
 from .errors import ConfigError
-from .ingest import AGE_BUCKETS, CODED, RESERVED_COLUMNS, PatientTable, codes_of, csv_text
+from .ingest import AGE_BUCKETS, CODED, RESERVED_COLUMNS, PatientTable, csv_text
 
 BLOCK_ROWS = 1 << 13  # rows drawn per getrandbits call, 8 bytes of words each
 _UNIT = 1 << 53  # random() is m / _UNIT for an integer m in [0, _UNIT)
@@ -271,7 +271,7 @@ def patient_csv_blocks(table: PatientTable) -> Iterator[str]:
         rows = getattr(table, name)
         if any(rows.values()):
             header.append(name)
-            columns.append((dict(enumerate(["", *by_code[1:]])), codes_of(rows, n)))
+            columns.append((dict(enumerate(["", *by_code[1:]])), row_codes(rows.values(), n)))
     width = len(header) + len(table.covers)  # cells per row
     header.extend(table.symptom_columns)
     yield csv_text([header])

@@ -4,14 +4,22 @@ from itertools import compress
 
 from hypothesis import strategies as st
 
-from rulemine.core import Itemset, TransactionSet, cover_bits_of, row_mask
+from rulemine.core import Itemset, TransactionSet, row_codes
 from rulemine.errors import UndefinedSupportError
+
+
+def cover_bits_of(ts: TransactionSet, s: Itemset) -> int:
+    """Bitset of transactions containing every item of s (``ts.rows`` for s=())."""
+    bits = ts.rows
+    for i in s:
+        bits &= ts.cover_bits(i)
+    return bits
 
 
 def cover_of(ts: TransactionSet, s: Itemset) -> set[int]:
     """Set of the transactions, numbered 0..n-1, containing every item of s."""
     n = ts.n_transactions
-    return set(compress(range(n), row_mask(cover_bits_of(ts.compact(), s), n)))
+    return set(compress(range(n), row_codes([cover_bits_of(ts.compact(), s)], n)))
 
 
 def support_of(ts: TransactionSet, s: Itemset) -> Fraction:
