@@ -398,18 +398,20 @@ def _cmd_verify(args) -> int:
     from . import oracle
 
     catalog, ts, mcfg = _run_pipeline(args)
-    # the oracle first, as it refuses too many subsets before any mining; then the
-    # whole lattice against the oracle's, and the rules from the target's family
-    lattice = oracle.brute_frequent(ts, mcfg.min_support, mcfg.max_len)
+    # every refusal before the oracle counts: its own bound before any mining, the
+    # rule generator's after it; then the whole lattice against the oracle's, and
+    # the rules from the target's family
+    oracle.check_subsets(ts, mcfg.min_support, mcfg.max_len)
     fi = mine_frequent(ts, MiningConfig(**(vars(mcfg) | {"target_consequent": None})))
-    if fi.counts != lattice.counts:
-        print("MISMATCH: frequent itemsets differ from brute-force oracle", file=sys.stderr)
-        return 1
     family = mine_frequent(ts, mcfg) if mcfg.target_consequent else fi
     if not family.counts.items() <= fi.counts.items():
         print("MISMATCH: targeted itemsets differ from the whole lattice", file=sys.stderr)
         return 1
     rs = _rules(family, mcfg, catalog)
+    lattice = oracle.brute_frequent(ts, mcfg.min_support, mcfg.max_len)
+    if fi.counts != lattice.counts:
+        print("MISMATCH: frequent itemsets differ from brute-force oracle", file=sys.stderr)
+        return 1
     if rs.rules != oracle.brute_rules(lattice, mcfg).rules:
         print("MISMATCH: rule sets differ from brute-force oracle", file=sys.stderr)
         return 1

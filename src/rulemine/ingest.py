@@ -20,13 +20,13 @@ csv.reader records read from the first block holding a quote are joined
 back into lines, ids blanked. A file with at most MEMO_HEADS (4096) distinct
 heads has each parsed once: every row takes its head's values from a
 memo of the heads parsed so far (about 400 in the 50k cohort), which
-starts over rather than hold more. The cells of a bitset column become
-one code byte per row, row 0 first, and its row bitsets come from
-``core.code_rows`` at the end of the parse. A cohort (``cohort_rows``)
-and the sparse drop each restrict the TransactionSet's row set, so no
-row is renumbered before the miner. LF, CRLF and a lone CR each end a
-line. Row line numbers are an ``array`` only from the first row that is
-not on line t + 2; before that they are a ``range``.
+starts over rather than hold more. Per-row codes live only inside a
+chunk: ``core.code_rows`` turns a chunk's code bytes of a bitset column
+into its value bitsets, and one loop merges every chunk bitset. A
+cohort (``cohort_rows``) and the sparse drop each restrict the
+TransactionSet's row set, so no row is renumbered before the miner. LF,
+CRLF and a lone CR each end a line. Row line numbers are an ``array``
+only from the first row that is not on line t + 2; before that a ``range``.
 
 One parser per reserved column (``_CELLS``) decides whether a cell is
 valid and, when it is not, gives the error's text, both when a chunk is
@@ -239,9 +239,10 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
 
     csv.reader reads the header; a name must be non-empty, with no comma
     or surrounding whitespace. Every chunk, quote-free lines or csv records
-    joined back into lines, is turned into columns by ``_chunk_columns``;
-    a chunk it rejects is checked row by row for the first error's
-    message. A row's number is the CSV line it starts on.
+    joined back into lines, becomes ages and row bitsets (no per-row code
+    outlives it) by ``_chunk_columns``; a chunk it rejects is checked row
+    by row for the first error's message. A row's number is the CSV line
+    it starts on.
     """
     fh = io.StringIO(source, newline="") if isinstance(source, str) else source
     reader = csv.reader(fh)
@@ -264,11 +265,11 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
     lead = max((k + 1 for k, c in enumerate(header) if c in RESERVED_COLUMNS), default=1)
     blank = header.index("id") if "id" in header else None  # the cell no value is read from
 
-    # each symptom's rows so far as bytes, row 0 the low bit of byte 0; the
-    # last byte holds the rows past the last multiple of 8
-    covers = [bytearray() for _ in symptom_columns]
+    # each row bitset (_chunk_columns) so far as bytes, row 0 the low bit of
+    # byte 0; the last byte holds the rows past the last multiple of 8
+    n_bitsets = len(symptom_columns) + sum(len(by_code) - 1 for by_code in CODED.values())
+    merged = [bytearray() for _ in range(n_bitsets)]
     ages: list[int | None] = []
-    codes = {name: bytearray() for name in CODED}  # empty for a column the CSV lacks
     line_numbers = None  # every row so far is on line t + 2
     memo = [{} for _ in range(lead)]  # the parsed heads (_chunk_columns)
     for chunk, chunk_lines in _chunks(fh, reader.line_num):
@@ -283,7 +284,7 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
         got = lines and _chunk_columns(lines, header, lead, memo)
         if got is None:
             raise _first_error(chunk, chunk_lines, header)
-        (chunk_ages, chunk_codes), chunk_covers = got
+        chunk_ages, bitsets = got
         t = len(ages)
         if line_numbers is None and (
             chunk_lines[0] != t + 2 or chunk_lines[-1] != t + 1 + len(chunk_lines)
@@ -292,23 +293,17 @@ def parse_patient_csv(source: str | io.TextIOBase) -> PatientTable:
         if line_numbers is not None:
             line_numbers.extend(chunk_lines)
         ages.extend(chunk_ages)
-        for name, coded in chunk_codes.items():
-            codes[name] += coded
         r = t & 7  # rows already in the last byte
         size = (r + len(chunk_lines) + 7) >> 3
-        for cover, bits in zip(covers, chunk_covers):
-            low = cover.pop() if r else 0
-            cover += (low | bits << r).to_bytes(size, "little")
+        for acc, bits in zip(merged, bitsets):
+            low = acc.pop() if r else 0
+            acc += (low | bits << r).to_bytes(size, "little")
 
-    values = {name: {v: code_rows(coded, k) for k, v in enumerate(CODED[name][1:], 1)}
-              for name, coded in codes.items()}
-    return PatientTable(
-        symptom_columns,
-        [int.from_bytes(cover, "little") for cover in covers],
-        ages,
-        **values,
-        lines=line_numbers,
-    )
+    bitsets = iter([int.from_bytes(acc, "little") for acc in merged])
+    covers = [next(bitsets) for _ in symptom_columns]
+    # zip reads a column's values first, so it takes one bitset per value
+    values = {name: dict(zip(by_code[1:], bitsets)) for name, by_code in CODED.items()}
+    return PatientTable(symptom_columns, covers, ages, **values, lines=line_numbers)
 
 
 def _chunks(fh: io.TextIOBase, line_num: int) -> Iterator[tuple[list, Sequence[int]]]:
@@ -365,10 +360,11 @@ def _chunks(fh: io.TextIOBase, line_num: int) -> Iterator[tuple[list, Sequence[i
 
 
 def _chunk_columns(lines: list[str], header: list[str], lead: int, memo: list[dict]):
-    """The reserved values and symptom row bitsets of a chunk of lines (bit
-    t for its row t), or None when a line is not one valid cell per
-    ``header`` column. The lines are quote-free, or csv records joined
-    back with commas and their ids blanked; both share ``memo``.
+    """The ages and row bitsets of a chunk of lines (bit t for its row t),
+    each symptom's, then each ``CODED`` value's (0 for an absent column),
+    or None when a line is not one valid cell per ``header`` column. The
+    lines are quote-free, or csv records joined back with commas and
+    their ids blanked; both share ``memo``.
 
     Every line takes one cut, before its last 2S characters, S being the
     number of symptoms after its first ``lead`` cells (one past the last
@@ -415,9 +411,12 @@ def _chunk_columns(lines: list[str], header: list[str], lead: int, memo: list[di
             column.update(zip(new, v))
         values = [map(column.__getitem__, heads) for column in memo]
     named = dict(zip(header, values))
-    codes = {name: bytes(named[name]) for name in CODED if name in named}
     leading = [flags_to_bits("".join(v)) for k, v in named.items() if k not in RESERVED_COLUMNS]
-    return (named.get("age", repeat(None, n)), codes), [*leading, *trailing]
+    bitsets = [*leading, *trailing]
+    for name, by_code in CODED.items():
+        codes = bytes(named.get(name, b""))  # once: a map from ``memo`` is spent by one read
+        bitsets += [code_rows(codes, k) for k in range(1, len(by_code))]
+    return named.get("age", repeat(None, n)), bitsets
 
 
 def _values(header: list[str], columns: list[Sequence[str]]) -> list[Iterable]:

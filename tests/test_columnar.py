@@ -250,6 +250,13 @@ def parsed(table):
 # first symptom when there is no reserved column
 @example("f,g,age\n1,0,5\n1,0,5\n0,1,5\n1,0,5\n0,1,5\n1,0,5\n", 2, False)
 @example("f,g\n1,0\n1,1\n0,1\n1,0\n0,0\n1,1\n", 2, False)
+# each chunk's value bitsets merged after the rows before it: a coded column blank through
+# a whole chunk, a value first seen in a later chunk, no lab_result, reserved columns last
+@example("age,sex,f\n5,M,1\n6,,0\n7,,1\n8,F,0\n9,M,1\n", 2, False)
+@example("outcome,f\nrecovered,1\nrecovered,0\nrecovered,1\ndeceased,0\nrecovered,1\n", 1, True)
+@example("age,sex,outcome,f\n5,M,recovered,1\n6,F,deceased,0\n7,M,,1\n", 1, False)
+@example("f,g,sex,outcome,lab_result\n1,0,M,deceased,pos\n0,1,F,,neg\n1,1,,recovered,\n"
+         "0,0,M,recovered,pos\n", 3, False)
 def test_parse_matches_rowwise(text, chunk_rows, stream):
     source = io.StringIO(text, newline="") if stream else text
     with patch.object(ingest, "CHUNK_ROWS", chunk_rows):

@@ -105,6 +105,9 @@ class TestParse:
     def test_missing_demographics_tolerated(self):
         table = parse_patient_csv("fever,cough\n1,0\n")
         assert table.rows[0].age is None
+        # an absent column holds each of its values in no row, as synth builds it
+        assert (table.sex, table.outcome, table.lab_result) == (
+            {"M": 0, "F": 0}, {"recovered": 0, "deceased": 0}, {"pos": 0, "neg": 0})
 
     def test_roundtrip(self):
         text = (

@@ -214,6 +214,19 @@ def test_zero_support_with_absent_item_is_undefined(target):
         _oracle_rules(ts, cfg)
 
 
+@given(transaction_sets(max_items=6, max_transactions=12), st.data(),
+       st.sampled_from([0.1, 0.25, 0.5]), st.sampled_from([0, 0.5]), st.sampled_from([0, 1]))
+def test_targeted_rules_are_the_untargeted_rules_with_that_consequent(
+    ts, data, min_support, min_confidence, min_lift
+):
+    target = tuple(sorted(data.draw(st.sets(st.sampled_from(ts.item_ids()), min_size=1))))
+    fi = brute_frequent(ts, min_support)
+    cfg = MiningConfig(min_support=min_support, min_confidence=min_confidence, min_lift=min_lift)
+    every = brute_rules(fi, cfg).rules
+    targeted = MiningConfig(**(vars(cfg) | {"target_consequent": target}))
+    assert brute_rules(fi, targeted).rules == [r for r in every if r.consequent == target]
+
+
 def _random_cases():
     """40 seeded random transaction sets, each with a support threshold."""
     rng = random.Random(2024)

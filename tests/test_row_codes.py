@@ -4,7 +4,7 @@ each code's bitset back."""
 
 from itertools import compress
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rulemine.core import code_rows, row_codes
@@ -37,3 +37,10 @@ def test_one_bitset_is_the_mask_compress_takes(n, bits):
     mask = row_codes([bits], n)
     assert set(mask) <= {0, 1}
     assert list(compress(range(n), mask)) == [t for t in range(n) if bits >> t & 1]
+
+
+@given(st.binary(max_size=70))
+@example(bytes(range(256)))  # every code, so both ends of the translate table
+def test_code_rows_is_the_rows_of_each_code(codes):
+    for k in range(256):
+        assert code_rows(codes, k) == sum(1 << t for t, c in enumerate(codes) if c == k)

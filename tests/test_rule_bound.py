@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rulemine import cli, rules
+from rulemine import cli, oracle, rules
 from rulemine.apriori import MiningConfig, mine_frequent
 from rulemine.core import TransactionSet
 from rulemine.errors import CapacityError
@@ -63,6 +63,17 @@ def test_the_cli_runs_at_the_bound_and_refuses_over_it(dense, monkeypatch, capsy
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == (
         "error: rule generation refuses 3600 partitions " + MESSAGE.format(3599) + "\n")
+
+
+def test_verify_refuses_the_partitions_before_the_oracle_counts(dense, monkeypatch, capsys):
+    def count(*args):
+        raise AssertionError("the oracle counted")
+
+    monkeypatch.setattr(oracle, "brute_frequent", count)
+    argv = ["verify", "--input", str(dense), "--no-select", "--min-support", "0.3"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: rule generation refuses 31262032 partitions "
+                                   + MESSAGE.format(rules.MAX_PARTITIONS) + "\n")
 
 
 @pytest.mark.skipif(os.name != "posix", reason="caps the child with resource.setrlimit")
